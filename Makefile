@@ -2,9 +2,9 @@
 #
 # Everything pins PYTHONPATH=src (the package is a src-layout project and the
 # test suites import `repro` directly).  `make test` is the fast unit suite;
-# `make bench` regenerates every figure/table benchmark and refreshes
-# BENCH_PR1.json / BENCH_PR2.json / BENCH_PR4.json / BENCH_PR5.json /
-# BENCH_PR6.json; `make bench-quick` runs the parallel-backchase scaling at a
+# `make bench` regenerates every figure/table benchmark and refreshes the
+# BENCH_*.json files (only `-m bench` sessions write them, so `make tier1`
+# records nothing); `make bench-quick` runs the parallel-backchase scaling at a
 # reduced scale; `make serve-smoke` checks the in-process serving mode end
 # to end and `make serve-net-smoke` the TCP front end (server + client over
 # a real socket); `make chaos-smoke` kills a snapshotting server with
@@ -14,20 +14,22 @@
 # obs-check subcommand; `make fleet-smoke` routes the workload through the
 # consistent-hash fleet router in front of two backends, kills one backend
 # with SIGKILL, and asserts the retrying client still passes --check via
-# failover; `make tier1` is the full suite the CI driver runs.
+# failover; `make perf-smoke` runs perfbench's service workloads and a traced
+# run through the benchmark's own checks; `make tier1` is the full suite CI
+# runs.
 
 PYTHON ?= python
 PYTHONPATH := src
 
-.PHONY: test bench bench-quick lint lint-concurrency serve-smoke serve-net-smoke chaos-smoke serve-obs-smoke fleet-smoke tier1 all
+.PHONY: test bench bench-quick lint lint-concurrency serve-smoke serve-net-smoke chaos-smoke serve-obs-smoke fleet-smoke perf-smoke tier1 all
 
 # Fast unit tests only (benchmarks are marked `bench` and deselected).
 test:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest -x -q -m "not bench" tests
 
-# Benchmark suite: reproduces the paper's figures/tables and writes
-# BENCH_PR1.json / BENCH_PR2.json / BENCH_PR4.json / BENCH_PR5.json /
-# BENCH_PR6.json with per-figure wall-clock and counters.
+# Benchmark suite: reproduces the paper's figures/tables and writes the
+# BENCH_*.json files with per-figure wall-clock and counters (only a
+# session run with `-m bench` writes them; see benchmarks/conftest.py).
 bench:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest -q -m bench benchmarks
 
@@ -192,6 +194,23 @@ fleet-smoke:
 	wait $$router_pid $$b2_pid 2>/dev/null; \
 	rm -f .fleet-smoke.b1 .fleet-smoke.b2 .fleet-smoke.router; \
 	exit $$status
+
+# Perf smoke test: perfbench/run.py drives the service in process
+# (warm-service) and over a socket (churn-socket) for 5 s each, then a traced
+# warm-optimize run, whose span wrappers fail if a program name that
+# perfbench/spans.py wraps is gone.  run.py checks every response against
+# perfbench/reference.json but exits 0 even when a check fails, so each run's
+# last output line must read "correct": true and "failed": 0.
+perf-smoke:
+	@for run in "warm-service --trace 0" "churn-socket --trace 0" "warm-optimize --trace 1"; do \
+		echo "perf-smoke: $$run"; \
+		out=$$($(PYTHON) perfbench/run.py --workload $$run --seed 1 --seconds 5) \
+			|| { echo "perf-smoke: $$run exited non-zero"; exit 1; }; \
+		last=$$(printf '%s\n' "$$out" | tail -n 1); \
+		echo "$$last"; \
+		printf '%s\n' "$$last" | $(PYTHON) -c 'import json, sys; r = json.loads(sys.stdin.read()); sys.exit(not (r.get("correct") is True and r.get("failed") == 0))' \
+			|| { echo "perf-smoke: $$run failed its checks"; exit 1; }; \
+	done
 
 # Everything, exactly as the tier-1 verification runs it.
 tier1:

@@ -8,11 +8,13 @@ what matters.
 
 Besides the printed tables, each benchmark records a machine-readable entry
 (figure name -> wall clock + counters/rows) via :func:`record_bench`; at the
-end of the session everything recorded is merged into a ``BENCH_*.json``
-file at the repository root (``BENCH_PR1.json`` by default; the parallel
+end of a session run with ``-m bench`` (``make bench`` / ``make
+bench-quick``) everything recorded is merged into a ``BENCH_*.json`` file
+at the repository root (``BENCH_PR1.json`` by default; the parallel
 backchase scaling benchmark writes ``BENCH_PR2.json``), so the perf
 trajectory (wall clock, closure queries, cache hit rates, speedups) can be
-tracked across PRs.
+tracked across PRs.  Any other session — the tier-1 run collects this
+directory too — writes nothing.
 
 All tests collected from this directory are marked ``bench`` so the fast
 tier-1 suite can deselect them with ``-m "not bench"`` (see the Makefile).
@@ -96,9 +98,11 @@ def pytest_collection_modifyitems(items):
 
 
 def pytest_sessionfinish(session, exitstatus):
-    # Only persist measurements from a fully passing session: a failed run's
-    # counters would overwrite the good entries the files exist to track.
-    if not _RECORDED or exitstatus != 0:
+    # Only persist measurements from a fully passing, explicitly requested
+    # benchmark session: a failed run's counters would overwrite the good
+    # entries the files exist to track, and a verification run is one noisy
+    # sample that must not replace the recorded trajectory.
+    if not _RECORDED or exitstatus != 0 or session.config.getoption("markexpr") != "bench":
         return
     for bench_file, entries in _RECORDED.items():
         path = ROOT / bench_file

@@ -1,14 +1,14 @@
 """Observability benchmark: the per-stage latency breakdown of traced serving.
 
 Runs the mixed EC1/EC2/EC3 request mix through a *traced*
-:class:`~repro.service.OptimizerService` on the serial executor and records
+:class:`~repro.service.OptimizerService` with one pool worker and records
 where the wall clock goes, stage by stage (admission wait, shard queue,
 chase fixpoints, containment checks, restrict calls, serialization), into
 ``BENCH_PR9.json``.  Two claims are checked:
 
 * **bounded** — per request, the billed stage seconds sum to at most the
-  measured request latency (serial executor: stages are disjoint wall-clock
-  slices);
+  measured request latency (one pool worker: stages are disjoint
+  wall-clock slices);
 * **attribution** — the engine stages (chase + containment + restrict)
   dominate the non-queueing time: tracing must explain where requests spend
   their time, not just wrap them.

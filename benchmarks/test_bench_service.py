@@ -65,8 +65,6 @@ def test_service_throughput(benchmark):
             "speedup_warm_vs_cold": round(measurement.speedup, 3),
             "cache_hit_rate": round(measurement.cache_hit_rate, 4),
             "cache_evictions": measurement.cache_evictions,
-            "waves": measurement.waves,
-            "cross_request_waves": measurement.cross_request_waves,
             "cold_p50_s": round(measurement.cold_p50, 6),
             "cold_p95_s": round(measurement.cold_p95, 6),
             "warm_p50_s": round(measurement.warm_p50, 6),

@@ -323,20 +323,12 @@ _NOT_EQUIVALENT = object()
 # ---------------------------------------------------------------------- #
 @dataclass
 class WaveContext:
-    """Picklable description of one backchase run, shared with the workers.
-
-    ``request_id`` identifies the originating service request when waves from
-    several concurrently in-flight queries share one executor (the scheduler
-    stamps it in :meth:`~repro.service.scheduler.ScheduledPool.start` and
-    uses it to demultiplex outcomes back to per-request futures); ``None``
-    for plain single-query runs.
-    """
+    """Picklable description of one backchase run, shared with the workers."""
 
     original: object
     universal_plan: object
     dependencies: list
     chase_kwargs: dict = field(default_factory=dict)
-    request_id: object = None
 
 
 @dataclass
@@ -359,9 +351,6 @@ class WaveOutcome:
     cache_misses: int = 0
     new_entries: dict = field(default_factory=dict)
     timed_out: bool = False
-    #: Echo of the context's request id, so schedulers batching chunks from
-    #: several requests into one wave can demux outcomes defensively.
-    request_id: object = None
 
 
 def _counters_delta(after, before):
@@ -397,7 +386,7 @@ def _evaluate_chunk(context, keys, deadline, cache, export_cache=False, memo=Non
     the other chunks' activity.  Shared-cache engines read the accounting
     off the cache itself instead.
     """
-    outcome = WaveOutcome(request_id=getattr(context, "request_id", None))
+    outcome = WaveOutcome()
     if export_cache:
         hits_before, misses_before = cache.hits, cache.misses
         counters_before = _counters_copy(cache.counters)
@@ -653,8 +642,8 @@ class ParallelBackchase:
         ``run_wave`` / ``map`` / ``close`` plus ``kind`` / ``workers`` /
         ``detached``).  When given, it is used instead of building one from
         ``executor`` / ``workers`` and is **not** closed by :meth:`run` —
-        the optimizer service passes its long-lived, cross-query batching
-        pool here.
+        the optimizer service passes an adapter onto its shard's
+        long-lived worker pool here.
     chase_cache:
         Optional shared (possibly warm) :class:`ChaseCache` built for the
         same dependency set, as for :class:`FullBackchase`.

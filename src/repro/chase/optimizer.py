@@ -127,20 +127,18 @@ class OptimizationResult:
 class _StageTask:
     """One independent chase+backchase unit: an OQF fragment or an OCS stage.
 
-    ``request_id`` identifies the originating service request when stage
-    tasks from several concurrently in-flight queries are batched into the
-    same executor waves (the scheduler stamps it and demuxes outcomes back to
-    per-request futures).  ``chase_cache`` is an optional warm
+    ``chase_cache`` is an optional warm
     :class:`~repro.chase.implication.ChaseCache` built for *exactly*
     ``constraints`` (never set on the pickled process-pool path — worker
-    processes keep their own caches).
+    processes keep their own caches).  Under the optimizer service, stage
+    tasks run on the shard's worker pool through
+    :meth:`~repro.service.scheduler.ScheduledPool.map`.
     """
 
     query: object
     constraints: list
     deadline: float | None
     label: str
-    request_id: object = None
     chase_cache: object = None
     containment_memo: object = None
 
@@ -235,8 +233,8 @@ class CBOptimizer:
         Optional externally managed executor-protocol object used for both
         the wave-parallel backchase and the fragment/stage fan-out instead of
         per-call pools built from ``executor`` / ``workers``.  Never closed
-        by this class; the service passes its long-lived, cross-query
-        batching pool here.
+        by this class; the service passes an adapter onto its shard's
+        long-lived worker pool here.
     containment_memo:
         Optional shared :class:`~repro.cq.memo.ContainmentMemo`.  Verdicts
         are independent of the constraint set (they compare two concrete

@@ -376,13 +376,7 @@ def _add_service_options(subparser):
     )
     subparser.add_argument("--shards", type=int, default=1, help="service shard count")
     subparser.add_argument(
-        "--executor",
-        choices=["serial", "threads"],
-        default="threads",
-        help="wave executor of every shard (process pools cannot share warm caches)",
-    )
-    subparser.add_argument(
-        "--workers", type=int, default=None, help="worker threads per shard scheduler"
+        "--workers", type=int, default=None, help="worker-pool threads per shard"
     )
     subparser.add_argument(
         "--max-inflight", type=int, default=4, help="concurrent requests per shard"
@@ -622,7 +616,6 @@ def _build_service(args):
         fault_injector = FaultInjector.from_spec(args.fault_spec, seed=args.fault_seed)
     service = OptimizerService(
         shards=args.shards,
-        executor=args.executor,
         workers=args.workers,
         max_inflight=args.max_inflight,
         max_queue_depth=args.max_queue_depth,

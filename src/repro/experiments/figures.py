@@ -373,7 +373,6 @@ def parallel_backchase_scaling(
 def service_throughput(
     repeats=8,
     shards=2,
-    executor="threads",
     workers=2,
     timeout=DEFAULT_TIMEOUT,
 ):
@@ -388,12 +387,12 @@ def service_throughput(
     latency percentiles.
     """
     measurement = measure_service_throughput(
-        repeats=repeats, shards=shards, executor=executor, workers=workers, timeout=timeout
+        repeats=repeats, shards=shards, workers=workers, timeout=timeout
     )
     result = ExperimentResult(
         f"Optimizer service throughput [{measurement.request_count} requests, "
         f"{measurement.distinct_configs} configs, {measurement.shards} shards, "
-        f"{measurement.executor} x{measurement.workers}]",
+        f"{measurement.workers} workers]",
         [
             "mode",
             "total (s)",
@@ -405,7 +404,6 @@ def service_throughput(
         ],
         notes=(
             f"warm speedup {measurement.speedup:.2f}x; "
-            f"{measurement.waves} waves ({measurement.cross_request_waves} cross-request); "
             f"{measurement.cache_evictions} evictions"
         ),
     )
@@ -429,7 +427,7 @@ def stage_breakdown(repeats=4, shards=1, timeout=DEFAULT_TIMEOUT):
     """Where traced requests spend their time, stage by stage.
 
     Runs ``repeats`` rounds of the mixed EC1/EC2/EC3 request mix through a
-    traced :class:`~repro.service.OptimizerService` on the serial executor
+    traced :class:`~repro.service.OptimizerService` with one pool worker
     and aggregates every span tree: per stage, the total billed wall
     seconds, the span count and the share of the accounted time.  The
     ``bounded`` note asserts the tracing invariant — per request,
@@ -438,7 +436,7 @@ def stage_breakdown(repeats=4, shards=1, timeout=DEFAULT_TIMEOUT):
     measurement = measure_stage_breakdown(repeats=repeats, shards=shards, timeout=timeout)
     result = ExperimentResult(
         f"Request stage breakdown [{measurement.request_count} requests, "
-        f"{measurement.distinct_configs} configs, {measurement.shards} shard(s), serial]",
+        f"{measurement.distinct_configs} configs, {measurement.shards} shard(s), 1 worker]",
         ["stage", "total (s)", "spans", "share of accounted"],
         notes=(
             f"{measurement.traced}/{measurement.request_count} traced; "
@@ -469,7 +467,6 @@ def stage_breakdown(repeats=4, shards=1, timeout=DEFAULT_TIMEOUT):
 def warm_restart(
     repeats=8,
     shards=2,
-    executor="threads",
     workers=2,
     timeout=DEFAULT_TIMEOUT,
     snapshot=None,
@@ -485,7 +482,6 @@ def warm_restart(
     measurement = measure_warm_restart(
         repeats=repeats,
         shards=shards,
-        executor=executor,
         workers=workers,
         timeout=timeout,
         snapshot_path=snapshot,
@@ -493,7 +489,7 @@ def warm_restart(
     result = ExperimentResult(
         f"Warm restart from cache snapshot [{measurement.request_count} requests, "
         f"{measurement.distinct_configs} configs, {measurement.shards} shards, "
-        f"{measurement.executor} x{measurement.workers}]",
+        f"{measurement.workers} workers]",
         [
             "life",
             "total (s)",
@@ -539,7 +535,6 @@ def warm_restart(
 def crash_recovery(
     repeats=6,
     shards=2,
-    executor="threads",
     workers=2,
     timeout=DEFAULT_TIMEOUT,
 ):
@@ -558,14 +553,13 @@ def crash_recovery(
     measurement = measure_crash_recovery(
         repeats=repeats,
         shards=shards,
-        executor=executor,
         workers=workers,
         timeout=timeout,
     )
     result = ExperimentResult(
         f"Crash recovery and retry overhead [{measurement.request_count} requests, "
         f"{measurement.distinct_configs} configs, {measurement.shards} shards, "
-        f"{measurement.executor} x{measurement.workers}]",
+        f"{measurement.workers} workers]",
         [
             "life",
             "load (s)",

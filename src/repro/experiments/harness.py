@@ -177,7 +177,6 @@ class ServiceThroughputMeasurement:
     request_count: int
     distinct_configs: int
     shards: int
-    executor: str
     workers: int
     cold_seconds: float
     warm_seconds: float
@@ -186,8 +185,6 @@ class ServiceThroughputMeasurement:
     speedup: float
     cache_hit_rate: float
     cache_evictions: int
-    waves: int
-    cross_request_waves: int
     cold_p50: float
     cold_p95: float
     warm_p50: float
@@ -220,7 +217,6 @@ def measure_service_throughput(
     mix=None,
     repeats=8,
     shards=2,
-    executor="threads",
     workers=2,
     max_inflight=4,
     timeout=None,
@@ -229,7 +225,7 @@ def measure_service_throughput(
 
     The request list interleaves ``repeats`` rounds of the configuration
     ``mix`` (round-robin, so concurrently in-flight requests come from
-    different catalogs and the cross-query batching actually mixes queries).
+    different catalogs and share each shard's worker pool).
     """
     from repro.service import OptimizerService
 
@@ -248,7 +244,6 @@ def measure_service_throughput(
 
     with OptimizerService(
         shards=shards,
-        executor=executor,
         workers=workers,
         max_inflight=max_inflight,
         default_timeout=timeout,
@@ -273,8 +268,7 @@ def measure_service_throughput(
         request_count=len(requests),
         distinct_configs=len(mix),
         shards=len(stats.shards),
-        executor=executor,
-        workers=1 if executor == "serial" else resolve_worker_count(workers),
+        workers=resolve_worker_count(workers),
         cold_seconds=cold_seconds,
         warm_seconds=warm_seconds,
         cold_qps=len(requests) / cold_seconds if cold_seconds > 0 else float("inf"),
@@ -282,8 +276,6 @@ def measure_service_throughput(
         speedup=cold_seconds / warm_seconds if warm_seconds > 0 else float("inf"),
         cache_hit_rate=stats.cache_hit_rate,
         cache_evictions=stats.cache_evictions,
-        waves=stats.waves,
-        cross_request_waves=stats.cross_request_waves,
         cold_p50=percentile(cold_latencies, 0.50),
         cold_p95=percentile(cold_latencies, 0.95),
         warm_p50=stats.p50_latency,
@@ -298,9 +290,9 @@ class StageBreakdownMeasurement:
     """Per-stage latency breakdown of traced service requests (PR 9).
 
     Every request runs through a traced
-    :class:`~repro.service.OptimizerService` on the **serial** executor, so
-    each span tree's stage seconds are disjoint wall-clock slices of its
-    request: ``sum(stages) <= duration`` holds per trace, and
+    :class:`~repro.service.OptimizerService` with **one** pool worker per
+    shard, so each span tree's stage seconds are disjoint wall-clock slices
+    of its request: ``sum(stages) <= duration`` holds per trace, and
     ``accounted_fraction`` (billed seconds / total traced wall seconds) says
     how much of the pipeline the six stages explain — the remainder is
     framework overhead (routing, future plumbing, metrics).
@@ -322,11 +314,11 @@ class StageBreakdownMeasurement:
 def measure_stage_breakdown(mix=None, repeats=4, shards=1, timeout=None):
     """Trace ``repeats`` rounds of the mixed workload and aggregate stages.
 
-    Serial executor on purpose (see
-    :class:`StageBreakdownMeasurement`): with pooled executors a stage's
-    workers run concurrently and the trace accumulates CPU-seconds, which
-    can exceed the request's wall clock — fine for attribution, wrong for a
-    breakdown that should sum to (at most) the latency.
+    One pool worker on purpose (see :class:`StageBreakdownMeasurement`):
+    with more, a stage's workers run concurrently and the trace accumulates
+    CPU-seconds, which can exceed the request's wall clock — fine for
+    attribution, wrong for a breakdown that should sum to (at most) the
+    latency.
     """
     from repro.service import OptimizerService, Tracer
 
@@ -339,7 +331,7 @@ def measure_stage_breakdown(mix=None, repeats=4, shards=1, timeout=None):
     traced = 0
     bounded = True
     with OptimizerService(
-        shards=shards, executor="serial", default_timeout=timeout, tracer=tracer
+        shards=shards, workers=1, default_timeout=timeout, tracer=tracer
     ) as service:
         futures = [
             service.submit(workload.query, strategy=strategy, catalog=workload.catalog)
@@ -405,7 +397,6 @@ class WarmRestartMeasurement:
     request_count: int
     distinct_configs: int
     shards: int
-    executor: str
     workers: int
     cold_seconds: float
     restart_seconds: float
@@ -426,7 +417,6 @@ def measure_warm_restart(
     mix=None,
     repeats=8,
     shards=2,
-    executor="threads",
     workers=2,
     max_inflight=4,
     timeout=None,
@@ -448,7 +438,6 @@ def measure_warm_restart(
     requests = [config for _ in range(repeats) for config in mix]
     service_kwargs = dict(
         shards=shards,
-        executor=executor,
         workers=workers,
         max_inflight=max_inflight,
         default_timeout=timeout,
@@ -506,8 +495,7 @@ def measure_warm_restart(
         request_count=len(requests),
         distinct_configs=len(mix),
         shards=shards,
-        executor=executor,
-        workers=1 if executor == "serial" else resolve_worker_count(workers),
+        workers=resolve_worker_count(workers),
         cold_seconds=cold_seconds,
         restart_seconds=restart_seconds,
         speedup=cold_seconds / restart_seconds if restart_seconds > 0 else float("inf"),
@@ -625,7 +613,6 @@ class CrashRecoveryMeasurement:
     request_count: int
     distinct_configs: int
     shards: int
-    executor: str
     workers: int
     warm_seconds: float
     warm_cache_misses: int
@@ -665,7 +652,6 @@ def measure_crash_recovery(
     mix=None,
     repeats=6,
     shards=2,
-    executor="threads",
     workers=2,
     max_inflight=4,
     timeout=None,
@@ -689,7 +675,6 @@ def measure_crash_recovery(
     requests = [config for _ in range(repeats) for config in mix]
     service_kwargs = dict(
         shards=shards,
-        executor=executor,
         workers=workers,
         max_inflight=max_inflight,
         default_timeout=timeout,
@@ -793,8 +778,7 @@ def measure_crash_recovery(
         request_count=len(requests),
         distinct_configs=len(mix),
         shards=shards,
-        executor=executor,
-        workers=1 if executor == "serial" else resolve_worker_count(workers),
+        workers=resolve_worker_count(workers),
         warm_seconds=warm_seconds,
         warm_cache_misses=warming_stats.cache_misses,
         sessions_periodic=sessions_periodic,

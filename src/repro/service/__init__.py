@@ -3,9 +3,9 @@
 This package is the architectural step from "library call" to "service": an
 :class:`OptimizerService` keeps worker pools and per-catalog chase caches
 warm across :meth:`~repro.service.service.OptimizerService.submit` calls,
-routes requests to shards by constraint-set signature, and batches the
-backchase/OQF/OCS work of concurrently in-flight queries into shared
-executor waves.  Plan sets are signature-identical to single-shot
+routes requests to shards by constraint-set signature, and runs the
+backchase/OQF/OCS work of every in-flight query on its shard's worker pool.
+Plan sets are signature-identical to single-shot
 :class:`~repro.chase.optimizer.CBOptimizer` runs.
 
 Modules
@@ -14,9 +14,10 @@ Modules
     The façade: admission, routing, futures, lifecycle, cache snapshots.
 ``shard``
     Warm per-catalog sessions (chase caches + containment memos), bounded
-    admission, request runner threads per shard.
+    admission, request runner threads and one worker pool per shard.
 ``scheduler``
-    The cross-query wave batching scheduler and its executor adapter.
+    The executor adapter that runs a request's backchase chunks and
+    OQF/OCS stage tasks on its shard's worker pool.
 ``metrics``
     Per-request/shard/service accounting and latency percentiles.
 ``protocol``
@@ -68,7 +69,7 @@ from repro.service.observability import (
     log_event,
     render_metrics,
 )
-from repro.service.scheduler import SERVICE_EXECUTORS, ScheduledPool, WaveScheduler
+from repro.service.scheduler import ScheduledPool
 from repro.service.server import OptimizerServer
 from repro.service.service import OptimizerService, ServiceRequest, ServiceResponse
 from repro.service.shard import Shard, ShardSession, shard_index
@@ -87,7 +88,6 @@ __all__ = [
     "ProtocolError",
     "RequestMetrics",
     "RunnerCrash",
-    "SERVICE_EXECUTORS",
     "ScheduledPool",
     "ServiceOverloaded",
     "ServiceRequest",
@@ -100,7 +100,6 @@ __all__ = [
     "SnapshotManager",
     "StageHistograms",
     "Tracer",
-    "WaveScheduler",
     "log_event",
     "percentile",
     "read_snapshot",

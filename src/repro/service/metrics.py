@@ -1,7 +1,7 @@
 """Metrics for the long-lived optimizer service.
 
 Everything the service reports — per-request latencies, per-shard cache,
-memo, queue and batching counters, service-wide aggregates — lives here,
+memo and queue counters, service-wide aggregates — lives here,
 together with the tiny percentile helper the benchmarks use for p50/p95
 latency.  All collectors are thread-safe: requests complete on shard runner
 threads and read-side calls (``OptimizerService.stats()``) can arrive
@@ -57,7 +57,7 @@ class RequestMetrics:
 
 @dataclass
 class ShardStats:
-    """One shard's snapshot: sessions, queue, batching, cache and memo state.
+    """One shard's snapshot: sessions, queue, cache and memo state.
 
     ``queue_depth`` is the *current* admitted-request gauge (queued on the
     runner pool plus executing), ``queue_peak`` its high-water mark and
@@ -72,9 +72,6 @@ class ShardStats:
     sessions: int
     sessions_evicted: int
     requests: int
-    waves: int
-    batched_items: int
-    cross_request_waves: int
     cache_caches: int
     cache_entries: int
     cache_hits: int
@@ -180,14 +177,6 @@ class ServiceStats:
         return sum(shard.runner_failures for shard in self.shards)
 
     @property
-    def waves(self):
-        return sum(shard.waves for shard in self.shards)
-
-    @property
-    def cross_request_waves(self):
-        return sum(shard.cross_request_waves for shard in self.shards)
-
-    @property
     def p50_latency(self):
         return percentile(self.latencies, 0.50)
 
@@ -229,8 +218,6 @@ class ServiceStats:
             "memo_misses": self.memo_misses,
             "memo_evictions": self.memo_evictions,
             "memo_hit_rate": round(self.memo_hit_rate, 4),
-            "waves": self.waves,
-            "cross_request_waves": self.cross_request_waves,
             "p50_latency_s": round(self.p50_latency, 6),
             "p95_latency_s": round(self.p95_latency, 6),
             "p99_latency_s": round(self.p99_latency, 6),

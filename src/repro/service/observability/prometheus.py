@@ -59,8 +59,6 @@ _HELP = {
     "memo_misses": "Containment-memo misses across all sessions.",
     "memo_evictions": "Containment-memo LRU evictions.",
     "memo_hit_rate": "Containment-memo hit rate in [0, 1].",
-    "waves": "Executor waves dispatched by the shard schedulers.",
-    "cross_request_waves": "Waves that batched work from several requests.",
     "p50_latency_s": "Median request latency over the bounded window (s).",
     "p95_latency_s": "p95 request latency over the bounded window (s).",
     "p99_latency_s": "p99 request latency over the bounded window (s).",

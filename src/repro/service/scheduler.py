@@ -1,18 +1,13 @@
-"""Cross-query wave batching for the optimizer service.
+"""The executor adapter that runs one request's parallel work on a shard pool.
 
-A shard's requests run concurrently on its runner threads, but none of them
-owns an executor pool: every unit of parallel work — a chunk of backchase
-subquery-lattice subsets, an OQF fragment, an OCS stage query — is enqueued
-as a :class:`_WorkItem` on the shard's single :class:`WaveScheduler`.  A
-dispatcher thread drains the queue in *waves*: it collects items for a short
-batching window (or until ``max_batch`` items are buffered) and dispatches
-the whole batch onto one persistent worker pool.  Items that arrive from
-different in-flight queries therefore share the same wave — the
-``cross_request_waves`` counter measures exactly how often that coalescing
-happens — and every outcome is demultiplexed back to its request's future by
-the request id stamped on the payload.
+A shard's requests run concurrently on its runner threads, and every shard
+owns one worker pool (a plain :class:`~concurrent.futures.ThreadPoolExecutor`).
+Each unit of parallel work a request produces — a chunk of backchase
+subquery-lattice subsets, an OQF fragment, an OCS stage query — is submitted
+straight to that pool, and the request's runner thread waits for its own
+futures.
 
-:class:`ScheduledPool` adapts the scheduler to the executor protocol of
+:class:`ScheduledPool` adapts the pool to the executor protocol of
 :mod:`repro.chase.backchase` (``start`` / ``run_wave`` / ``map`` /
 ``close``), so :class:`~repro.chase.backchase.ParallelBackchase` and the
 optimizer's OQF/OCS fan-out run on the shared pool without any engine
@@ -22,277 +17,72 @@ to single-shot runs.
 
 from __future__ import annotations
 
-import queue
-import threading
-import time
-from concurrent.futures import Future, ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
-
-from repro.chase.backchase import (
-    _evaluate_chunk,
-    resolve_worker_count,
-    size_ordered_chunks,
-)
+from repro.chase.backchase import _evaluate_chunk, size_ordered_chunks
 from repro.trace import activate, active_trace
 
-#: Executor kinds a :class:`WaveScheduler` can run on.  Process pools are
-#: deliberately absent: the service's whole point is *shared* warm caches,
-#: and a detached worker process would copy them instead of sharing them.
-SERVICE_EXECUTORS = ("serial", "threads")
 
+def _traced_call(trace, fn, *args, **kwargs):
+    """Run ``fn`` on a pool worker under the submitting request's trace.
 
-@dataclass
-class _WorkItem:
-    """One schedulable unit with the future its outcome resolves.
-
-    ``trace`` carries the submitting request's
-    :class:`~repro.trace.RequestTrace` so the worker that runs the item —
-    the dispatcher inline (serial) or a pool thread — re-activates it and
-    engine stage times land on the right request.  Work items never cross
-    a pickle boundary (service executors are serial/threads only), so the
-    live trace object riding here is safe.
+    The ambient trace is thread-local and does not follow work into pool
+    threads, so the worker re-activates it (``activate(None)`` is a no-op).
     """
-
-    request_id: object
-    fn: object
-    payload: object
-    trace: object = None
-    future: Future = field(default_factory=Future)
-
-
-@dataclass
-class SchedulerStats:
-    """Batching counters (snapshotted under the scheduler lock)."""
-
-    waves: int = 0
-    items: int = 0
-    cross_request_waves: int = 0
-    max_wave_size: int = 0
-
-
-class WaveScheduler:  # repro-lint: ignore[pickle-safety] never pickled — owns a live thread pool and dispatcher
-    """Batches work items from concurrent requests into shared executor waves.
-
-    Parameters
-    ----------
-    executor:
-        ``"threads"`` (default) or ``"serial"``.  Serial runs every wave
-        inline on the dispatcher thread — the reference mode the equivalence
-        tests exercise.
-    workers:
-        Worker-thread count for the ``"threads"`` pool (``None`` = CPU
-        count).
-    batch_window:
-        Seconds the dispatcher keeps collecting after the first item of a
-        wave arrives.  Small values trade a little coalescing for latency;
-        the default (1 ms) is enough for chunks submitted together by one
-        ``run_wave`` call — and for whatever other requests enqueue in the
-        meantime — to land in one wave.
-    max_batch:
-        Hard cap on items per wave.
-    """
-
-    def __init__(self, executor="threads", workers=None, batch_window=0.001, max_batch=64):
-        if executor not in SERVICE_EXECUTORS:
-            raise ValueError(
-                f"unknown service executor {executor!r}; expected one of {SERVICE_EXECUTORS}"
-                " (process pools cannot share warm caches)"
-            )
-        self.executor = executor
-        self.workers = 1 if executor == "serial" else resolve_worker_count(workers)
-        self.batch_window = batch_window
-        self.max_batch = max_batch
-        self._queue = queue.SimpleQueue()
-        self._pool = (
-            ThreadPoolExecutor(max_workers=self.workers, thread_name_prefix="svc-wave")
-            if executor == "threads"
-            else None
-        )
-        self._stats = SchedulerStats()  # guarded-by: _stats_lock
-        self._stats_lock = threading.Lock()
-        self._closed = threading.Event()
-        self._dispatcher = threading.Thread(  # released-by: shutdown
-            target=self._dispatch_loop, name="svc-dispatch", daemon=True
-        )
-        self._dispatcher.start()
-
-    # ------------------------------------------------------------------ #
-    # submission
-    # ------------------------------------------------------------------ #
-    def submit(self, request_id, fn, payload, trace=None):
-        """Enqueue ``fn(payload)`` for the next wave; returns its Future."""
-        if self._closed.is_set():
-            raise RuntimeError("WaveScheduler is shut down")
-        item = _WorkItem(request_id, fn, payload, trace=trace)
-        self._queue.put(item)
-        return item.future
-
-    def submit_many(self, request_id, fn, payloads, trace=None):
-        """Enqueue several payloads at once (they tend to share one wave)."""
-        return [self.submit(request_id, fn, payload, trace=trace) for payload in payloads]
-
-    # ------------------------------------------------------------------ #
-    # dispatch
-    # ------------------------------------------------------------------ #
-    def _dispatch_loop(self):
-        while True:
-            try:
-                first = self._queue.get(timeout=0.05)
-            except queue.Empty:
-                if self._closed.is_set():
-                    return
-                continue
-            if first is None:
-                return
-            batch = [first]
-            window_deadline = time.monotonic() + self.batch_window
-            while len(batch) < self.max_batch:
-                remaining = window_deadline - time.monotonic()
-                if remaining <= 0:
-                    break
-                try:
-                    item = self._queue.get(timeout=remaining)
-                except queue.Empty:
-                    break
-                if item is None:
-                    self._run_wave(batch)
-                    return
-                batch.append(item)
-            self._run_wave(batch)
-
-    def _run_wave(self, batch):
-        with self._stats_lock:
-            self._stats.waves += 1
-            self._stats.items += len(batch)
-            self._stats.max_wave_size = max(self._stats.max_wave_size, len(batch))
-            if len({item.request_id for item in batch}) > 1:
-                self._stats.cross_request_waves += 1
-        if self._pool is None:
-            for item in batch:
-                self._run_item(item)
-        else:
-            for item in batch:
-                self._pool.submit(self._run_item, item)
-
-    @staticmethod
-    def _run_item(item):
-        if not item.future.set_running_or_notify_cancel():
-            return
-        try:
-            # Re-activate the submitting request's trace on this worker:
-            # a wave mixes items from several requests, so the ambient
-            # trace swaps per item (activate(None) is a no-op).
-            with activate(item.trace):
-                outcome = item.fn(item.payload)
-            item.future.set_result(outcome)
-        except BaseException as exc:  # noqa: BLE001 - relayed to the waiter
-            item.future.set_exception(exc)
-
-    # ------------------------------------------------------------------ #
-    # lifecycle / stats
-    # ------------------------------------------------------------------ #
-    def stats(self):
-        """Return a copy of the batching counters."""
-        with self._stats_lock:
-            return SchedulerStats(
-                waves=self._stats.waves,
-                items=self._stats.items,
-                cross_request_waves=self._stats.cross_request_waves,
-                max_wave_size=self._stats.max_wave_size,
-            )
-
-    def shutdown(self, wait=True):
-        """Stop the dispatcher and the worker pool (idempotent)."""
-        if self._closed.is_set():
-            return
-        self._closed.set()
-        self._queue.put(None)
-        if wait:
-            self._dispatcher.join(timeout=5.0)
-        if self._pool is not None:
-            self._pool.shutdown(wait=wait)
-
-
-def _evaluate_scheduled_chunk(payload):
-    """Unpack one batched backchase chunk and evaluate it in-process."""
-    context, keys, deadline, cache, memo = payload
-    return _evaluate_chunk(context, keys, deadline, cache, memo=memo)
+    with activate(trace):
+        return fn(*args, **kwargs)
 
 
 class ScheduledPool:
-    """Executor-protocol adapter running one request's waves on a scheduler.
+    """Executor-protocol adapter running one request's work on a shard pool.
 
-    One instance is created per service request; it is stateless beyond the
-    request id and the :class:`WaveScheduler` it forwards to, so ``close`` is
-    a no-op (the scheduler and its pool outlive every request — that is the
-    whole point of the service).  ``detached`` is ``False``: every chunk
-    shares the session's warm :class:`ChaseCache` directly, so there is
-    nothing to merge back after a wave.
+    One instance is created per service request; it holds only the shard's
+    pool and worker count, so ``close`` is a no-op (the pool outlives every
+    request — that is the whole point of the service).  ``detached`` is
+    ``False``: every chunk shares the session's warm :class:`ChaseCache`
+    directly, so there is nothing to merge back after a wave.
     """
 
     kind = "scheduled"
     detached = False
     chunk_policy = "size-ordered"
 
-    def __init__(self, scheduler, request_id):
-        self.scheduler = scheduler
-        self.request_id = request_id
-        self.workers = scheduler.workers
+    def __init__(self, pool, workers):
+        self.pool = pool
+        self.workers = workers
         self._context = None
         self._cache = None
         self._memo = None
 
     def start(self, context, cache, memo=None):
-        context.request_id = self.request_id
         self._context = context
         self._cache = cache
         self._memo = memo
 
     def run_wave(self, keys, deadline, seed_entries=None):
         # seed_entries is ignored: chunks share the session cache directly.
-        chunks = size_ordered_chunks(keys, self.workers)
-        futures = self.scheduler.submit_many(
-            self.request_id,
-            _evaluate_scheduled_chunk,
-            [(self._context, chunk, deadline, self._cache, self._memo) for chunk in chunks],
-            trace=active_trace(),
-        )
-        outcomes = [future.result() for future in futures]
-        for outcome in outcomes:
-            # Demux guard: a wave mixes chunks from several requests; every
-            # outcome must echo the id its context was stamped with.
-            if outcome.request_id != self.request_id:
-                raise RuntimeError(
-                    f"wave outcome for request {outcome.request_id!r} delivered to "
-                    f"request {self.request_id!r}"
-                )
-        return outcomes
+        trace = active_trace()
+        futures = [
+            self.pool.submit(
+                _traced_call,
+                trace,
+                _evaluate_chunk,
+                self._context,
+                chunk,
+                deadline,
+                self._cache,
+                memo=self._memo,
+            )
+            for chunk in size_ordered_chunks(keys, self.workers)
+        ]
+        return [future.result() for future in futures]
 
     def map(self, fn, payloads):
-        """Run stage tasks (OQF fragments / OCS stages) through the scheduler.
-
-        Payloads that carry a ``request_id`` field (:class:`_StageTask`) are
-        stamped with this request's id so batching metrics and demux guards
-        see which query each item belongs to.
-        """
-        stamped = [
-            replace(payload, request_id=self.request_id)
-            if hasattr(payload, "request_id") and hasattr(payload, "__dataclass_fields__")
-            else payload
-            for payload in payloads
-        ]
-        futures = self.scheduler.submit_many(
-            self.request_id, fn, stamped, trace=active_trace()
-        )
+        """Run stage tasks (OQF fragments / OCS stages) on the shard pool."""
+        trace = active_trace()
+        futures = [self.pool.submit(_traced_call, trace, fn, payload) for payload in payloads]
         return [future.result() for future in futures]
 
     def close(self):
         pass
 
 
-__all__ = [
-    "SERVICE_EXECUTORS",
-    "ScheduledPool",
-    "SchedulerStats",
-    "WaveScheduler",
-]
+__all__ = ["ScheduledPool"]

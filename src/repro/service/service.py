@@ -12,11 +12,11 @@ layer:
   set (:func:`~repro.service.shard.shard_index`), so one catalog's traffic
   always lands on the same shard — and therefore the same warm caches —
   while distinct catalogs spread over the shard pool.
-* **Cross-query wave batching.**  Within a shard, the backchase wave chunks
-  and OQF/OCS stage tasks of *all* in-flight requests are coalesced into
-  shared executor waves by the shard's
-  :class:`~repro.service.scheduler.WaveScheduler`; payloads carry the
-  request id and outcomes demultiplex back to per-request futures.
+* **One worker pool per shard.**  Within a shard, the backchase wave chunks
+  and OQF/OCS stage tasks of every in-flight request go straight to the
+  shard's worker pool through a per-request
+  :class:`~repro.service.scheduler.ScheduledPool`; each request waits on
+  its own futures.
 
 Plan sets are signature-identical to a fresh
 :class:`~repro.chase.optimizer.CBOptimizer` run with the same knobs: the
@@ -141,20 +141,14 @@ class OptimizerService:  # repro-lint: ignore[pickle-safety] never pickled — s
     Parameters
     ----------
     shards:
-        Number of independent shards (scheduler + runner pool + sessions
-        each).  Catalogs are spread over shards deterministically.
-    executor:
-        ``"threads"`` (default) or ``"serial"`` — the wave executor of every
-        shard's scheduler.  Process pools are rejected: detached workers
-        cannot share the warm caches that justify the service.
+        Number of independent shards (runner threads + worker pool +
+        sessions each).  Catalogs are spread over shards deterministically.
     workers:
-        Worker threads per shard scheduler (``None`` = CPU count).
+        Threads of every shard's worker pool (``None`` = CPU count).  The
+        pool is a thread pool, never a process pool: detached workers
+        could not share the warm caches that justify the service.
     max_inflight:
-        Concurrently executing requests per shard; more in-flight requests
-        mean more cross-query batching opportunities.
-    batch_window / max_batch:
-        Wave coalescing knobs (see
-        :class:`~repro.service.scheduler.WaveScheduler`).
+        Concurrently executing requests (runner threads) per shard.
     max_queue_depth:
         Admission bound per shard: maximum requests admitted at a time
         (executing plus waiting for a runner thread).  Past it,
@@ -182,8 +176,8 @@ class OptimizerService:  # repro-lint: ignore[pickle-safety] never pickled — s
     tracer:
         Optional :class:`~repro.service.observability.tracing.Tracer`.
         When set, every admitted request carries a
-        :class:`~repro.trace.RequestTrace` through shard queueing, wave
-        scheduling and the engine's chase/containment/restrict stages, and
+        :class:`~repro.trace.RequestTrace` through shard queueing, the
+        worker pool and the engine's chase/containment/restrict stages, and
         every :class:`ServiceResponse` comes back with the finished span
         tree on ``response.trace``.
     event_log:
@@ -196,11 +190,8 @@ class OptimizerService:  # repro-lint: ignore[pickle-safety] never pickled — s
     def __init__(
         self,
         shards=1,
-        executor="threads",
         workers=None,
         max_inflight=4,
-        batch_window=0.001,
-        max_batch=64,
         max_queue_depth=None,
         max_cache_entries=None,
         max_memo_entries=None,
@@ -220,11 +211,8 @@ class OptimizerService:  # repro-lint: ignore[pickle-safety] never pickled — s
         self._shards = [
             Shard(
                 shard_id,
-                executor=executor,
                 workers=workers,
                 max_inflight=max_inflight,
-                batch_window=batch_window,
-                max_batch=max_batch,
                 max_queue_depth=max_queue_depth,
                 max_cache_entries=max_cache_entries,
                 max_memo_entries=max_memo_entries,

@@ -1,9 +1,10 @@
 """Shards: warm per-catalog sessions plus a supervised request runner pool.
 
-A shard is the unit of placement in the optimizer service: it owns one
-:class:`~repro.service.scheduler.WaveScheduler` (persistent worker pool +
-cross-query wave batching), a small pool of *runner* threads that execute
-whole requests, and a registry of :class:`ShardSession` objects — one per
+A shard is the unit of placement in the optimizer service: it owns a small
+pool of *runner* threads that execute whole requests, one persistent worker
+pool that runs the requests' backchase chunks and OQF/OCS stage tasks
+(through a per-request :class:`~repro.service.scheduler.ScheduledPool`),
+and a registry of :class:`ShardSession` objects — one per
 distinct constraint-set signature routed to the shard.  A session holds the
 warm :class:`~repro.chase.implication.ChaseCacheRegistry` whose chase
 fixpoints survive across requests *and* the warm
@@ -39,9 +40,11 @@ import queue
 import threading
 import time
 from collections import OrderedDict
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from repro.errors import RunnerCrash, ServiceOverloaded
+from repro.chase.backchase import resolve_worker_count
 from repro.chase.implication import (
     ChaseCacheRegistry,
     constraint_signature,
@@ -52,7 +55,7 @@ from repro.cq.memo import ContainmentMemo
 from repro.service.faults import maybe_fail
 from repro.service.metrics import RequestMetrics, ShardStats
 from repro.service.observability.events import log_event
-from repro.service.scheduler import ScheduledPool, WaveScheduler
+from repro.service.scheduler import ScheduledPool
 from repro.trace import activate
 
 #: Queue sentinel that makes a runner thread exit its loop.
@@ -117,7 +120,7 @@ class _RunnerTask:
 
 
 class Shard:  # repro-lint: ignore[pickle-safety] never pickled — snapshots export session state (export_sessions), not shard objects
-    """One shard: scheduler + supervised runner threads + warm sessions.
+    """One shard: supervised runner threads + worker pool + warm sessions.
 
     Locking invariant (checked mechanically by ``repro-lint``'s
     lock-discipline rule): every mutable counter and container on the shard
@@ -131,12 +134,12 @@ class Shard:  # repro-lint: ignore[pickle-safety] never pickled — snapshots ex
     ----------
     shard_id:
         Position in the service's shard list (also reported in stats).
-    executor / workers / batch_window / max_batch:
-        Forwarded to the shard's :class:`WaveScheduler`.
+    workers:
+        Threads of the shard's worker pool, which runs every request's
+        backchase chunks and OQF/OCS stage tasks (``None`` = CPU count).
     max_inflight:
         Runner threads, i.e. how many requests the shard executes
-        concurrently (their wave chunks interleave on the scheduler — this
-        is what creates cross-request waves).
+        concurrently (their chunks and stage tasks share the worker pool).
     max_queue_depth:
         Admission bound: maximum requests admitted at a time (executing plus
         waiting for a runner thread).  ``None`` (the default) preserves the
@@ -175,11 +178,8 @@ class Shard:  # repro-lint: ignore[pickle-safety] never pickled — snapshots ex
     def __init__(
         self,
         shard_id,
-        executor="threads",
         workers=None,
         max_inflight=4,
-        batch_window=0.001,
-        max_batch=64,
         max_queue_depth=None,
         max_cache_entries=None,
         max_memo_entries=None,
@@ -201,14 +201,13 @@ class Shard:  # repro-lint: ignore[pickle-safety] never pickled — snapshots ex
         self.max_memo_entries = max_memo_entries
         self.max_sessions = max_sessions
         self.overload_retry_after = overload_retry_after
-        self.scheduler = WaveScheduler(
-            executor=executor,
-            workers=workers,
-            batch_window=batch_window,
-            max_batch=max_batch,
+        self.workers = resolve_worker_count(workers)
+        self._pool = ThreadPoolExecutor(
+            max_workers=self.workers, thread_name_prefix=f"svc-shard{shard_id}-worker"
         )
         self._faults = fault_injector
         self._event_log = event_log
+        # get() stays untimed: SimpleQueue.get(timeout=...) can hang on CPython 3.11 (perfbench/stall_check.py)
         self._tasks = queue.SimpleQueue()
         self._sessions = OrderedDict()  # guarded-by: _lock
         self._lock = threading.Lock()
@@ -295,9 +294,13 @@ class Shard:  # repro-lint: ignore[pickle-safety] never pickled — snapshots ex
 
         Registration and start happen under the lock so the supervisor sweep
         never observes a registered-but-not-yet-started thread (it would
-        read as dead and be spuriously replaced).
+        read as dead and be spuriously replaced).  Nothing is spawned once
+        shutdown has begun: shutdown queues one sentinel per runner it saw,
+        and a later runner would take one and leave a seen runner blocked.
         """
         with self._lock:
+            if self._stopping.is_set():
+                return None
             self._runner_serial += 1
             runner = threading.Thread(
                 target=self._runner_loop,
@@ -376,6 +379,10 @@ class Shard:  # repro-lint: ignore[pickle-safety] never pickled — snapshots ex
         """Periodically restart runners that died without reporting."""
         while not self._stopping.wait(timeout=self._supervisor_interval):
             with self._lock:
+                # The wait can time out just as shutdown begins: runners that
+                # exited on their shutdown sentinel are not dead.
+                if self._stopping.is_set():
+                    return
                 dead = [runner for runner in self._runners if not runner.is_alive()]
                 for runner in dead:
                     self._runners.remove(runner)
@@ -458,12 +465,12 @@ class Shard:  # repro-lint: ignore[pickle-safety] never pickled — snapshots ex
                 timeout=request.timeout,
                 cache_registry=session.registry,
                 containment_memo=session.memo,
-                pool=ScheduledPool(self.scheduler, request.request_id),
+                pool=ScheduledPool(self._pool, self.workers),
             )
             # The trace is ambient on this runner thread for the whole
             # engine run: chase/containment/restrict work executed inline
             # here records directly, and the ScheduledPool re-activates the
-            # same trace on every wave worker for the batched chunks.
+            # same trace on the pool worker that runs each chunk or stage.
             with activate(task.trace):
                 result = optimizer.optimize(request.query, strategy=request.strategy)
             registry_stats = session.registry.stats()
@@ -515,7 +522,7 @@ class Shard:  # repro-lint: ignore[pickle-safety] never pickled — snapshots ex
     # stats / lifecycle
     # ------------------------------------------------------------------ #
     def stats(self):
-        """Snapshot this shard's sessions, batching, queue and cache counters."""
+        """Snapshot this shard's sessions, queue, cache and memo counters."""
         with self._lock:
             sessions = list(self._sessions.values())
             requests = self._requests
@@ -525,7 +532,6 @@ class Shard:  # repro-lint: ignore[pickle-safety] never pickled — snapshots ex
             rejected = self._rejected
             runner_restarts = self._runner_restarts
             runner_failures = self._runner_failures
-        scheduler = self.scheduler.stats()
         cache = {"caches": 0, "entries": 0, "hits": 0, "misses": 0, "evictions": 0}
         memo = {"entries": 0, "hits": 0, "misses": 0, "evictions": 0}
         for session in sessions:
@@ -543,9 +549,6 @@ class Shard:  # repro-lint: ignore[pickle-safety] never pickled — snapshots ex
             rejected=rejected,
             runner_restarts=runner_restarts,
             runner_failures=runner_failures,
-            waves=scheduler.waves,
-            batched_items=scheduler.items,
-            cross_request_waves=scheduler.cross_request_waves,
             cache_caches=cache["caches"],
             cache_entries=cache["entries"],
             cache_hits=cache["hits"],
@@ -558,11 +561,11 @@ class Shard:  # repro-lint: ignore[pickle-safety] never pickled — snapshots ex
         )
 
     def shutdown(self, wait=True):
-        """Drain the runner queue, stop supervision + scheduler (idempotent)."""
-        if self._stopping.is_set():
-            return
-        self._stopping.set()
+        """Drain the runner queue, stop supervision + worker pool (idempotent)."""
         with self._lock:
+            if self._stopping.is_set():
+                return
+            self._stopping.set()
             runners = list(self._runners)
         # Sentinels queue *behind* already-admitted tasks, so wait=True
         # drains exactly like ThreadPoolExecutor.shutdown(wait=True) did.
@@ -572,7 +575,7 @@ class Shard:  # repro-lint: ignore[pickle-safety] never pickled — snapshots ex
             for runner in runners:
                 runner.join(timeout=60.0)
             self._supervisor.join(timeout=5.0)
-        self.scheduler.shutdown(wait=wait)
+        self._pool.shutdown(wait=wait)
 
 
 __all__ = ["Shard", "ShardSession", "session_label", "shard_index"]

@@ -20,14 +20,16 @@ Design:
   current thread's collector and :func:`traced_stage` decorates engine
   entry points.  A plain ``threading.local`` (not ``contextvars``) is
   deliberate — context vars do not propagate into pool worker threads, so
-  the scheduler re-activates the trace explicitly on each worker (the
-  trace object rides inside the wave payload; service executors are
-  threads/serial only, so nothing here ever crosses a pickle boundary).
+  :class:`~repro.service.scheduler.ScheduledPool` re-activates the trace
+  explicitly on the shard pool worker that runs each chunk or stage task
+  (the trace object rides along with the submitted call; shard pools are
+  thread pools, so nothing here ever crosses a pickle boundary).
 * Accounting is **outermost-only** per thread: when a traced stage calls
   another traced stage (``ChaseCache.chase_result`` → ``chase``,
   containment minimization → ``restrict_to``), only the outermost frame
   records.  This keeps per-thread stage times non-overlapping, so on a
-  serial executor the stage durations sum to at most the request latency.
+  serial executor (or a shard pool with ``workers=1``) the stage durations
+  sum to at most the request latency.
   On a thread pool the stages accumulate *CPU-seconds across workers*,
   which may legitimately exceed wall-clock latency — that is attribution,
   not a bug, and the service docs say so.

@@ -306,7 +306,7 @@ class TestShardSupervision:
         workload = build_ec2(1, 3, 1)
         faults = FaultInjector().rule("shard.execute", times=1, crash=True)
         with OptimizerService(
-            shards=1, executor="serial", max_inflight=1, fault_injector=faults
+            shards=1, workers=1, max_inflight=1, fault_injector=faults
         ) as service:
             crashed = service.submit(workload.query, catalog=workload.catalog).result(
                 timeout=JOIN_TIMEOUT
@@ -332,7 +332,7 @@ class TestShardSupervision:
     def test_crash_surfaces_as_typed_error_over_the_socket(self):
         faults = FaultInjector().rule("shard.execute", times=1, crash=True)
         with OptimizerServer(
-            shards=1, executor="serial", max_inflight=1, fault_injector=faults
+            shards=1, workers=1, max_inflight=1, fault_injector=faults
         ) as server:
             with OptimizerClient(port=server.port) as client:
                 crashed = client.request(dict(EC2_REQUEST), timeout=JOIN_TIMEOUT)
@@ -347,7 +347,7 @@ class TestShardSupervision:
     def test_supervisor_sweep_restarts_a_silently_dead_runner(self):
         from repro.service.shard import _SHUTDOWN, Shard
 
-        shard = Shard(0, executor="serial", max_inflight=2, supervisor_interval=0.05)
+        shard = Shard(0, workers=1, max_inflight=2, supervisor_interval=0.05)
         try:
             # Kill one runner without letting it report (it just exits).
             shard._tasks.put(_SHUTDOWN)
@@ -363,6 +363,50 @@ class TestShardSupervision:
             assert stats.runner_failures == 0  # nothing was in flight
         finally:
             shard.shutdown()
+
+    def test_sweep_racing_shutdown_strands_no_runner(self):
+        """A sweep whose wait timed out just as shutdown began must not
+        replace runners that exited on their shutdown sentinel: the
+        replacement would take a busy runner's sentinel, and that runner
+        would block forever (shutdown's join then waits out its timeout)."""
+        from repro.service.shard import Shard
+
+        class LateStop(threading.Event):
+            def wait(self, timeout=None):
+                time.sleep(timeout)
+                return False  # timed out "just before" the flag was set
+
+        started, release, done = threading.Event(), threading.Event(), threading.Event()
+
+        class BlockingRequest:
+            request_id, strategy = "blocker", "fb"
+
+            def resolved_constraints(self):
+                started.set()
+                release.wait(JOIN_TIMEOUT)
+                raise RuntimeError("released")
+
+        shard = Shard(0, workers=1, max_inflight=2, supervisor_interval=0.01)
+        shard._stopping = LateStop()
+        with shard._lock:
+            runners = list(shard._runners)
+        shard.submit(BlockingRequest(), lambda *outcome: done.set())
+        assert started.wait(JOIN_TIMEOUT)
+        shard.shutdown(wait=False)
+        # The idle runner exits on its sentinel while the busy one's waits
+        # in the queue; give the sweep time to (wrongly) replace it.
+        deadline = time.monotonic() + 5.0
+        while time.monotonic() < deadline and all(r.is_alive() for r in runners):
+            time.sleep(0.01)
+        time.sleep(0.1)
+        release.set()
+        for runner in runners:
+            runner.join(10.0)
+        shard._supervisor.join(10.0)
+        assert done.is_set()
+        assert not any(runner.is_alive() for runner in runners)
+        assert not shard._supervisor.is_alive()
+        assert shard.stats().runner_restarts == 0
 
 
 # ---------------------------------------------------------------------- #
@@ -628,7 +672,7 @@ class TestAdmissionRecovery:
         expected = _single_shot_digests(workload)
         burst = 3
         with OptimizerServer(
-            shards=1, executor="serial", max_inflight=1, max_queue_depth=1
+            shards=1, workers=1, max_inflight=1, max_queue_depth=1
         ) as server:
             with OptimizerClient(port=server.port) as plain:
                 blocked = plain.submit(dict(EC2_REQUEST))

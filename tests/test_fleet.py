@@ -354,7 +354,7 @@ class TestOverloadReroute:
         monkeypatch.setattr(
             shard_module, "CBOptimizer", self._blocking_optimizer(release, started)
         )
-        bounds = dict(shards=1, executor="serial", max_inflight=1, max_queue_depth=1)
+        bounds = dict(shards=1, workers=1, max_inflight=1, max_queue_depth=1)
         try:
             with OptimizerServer(**bounds) as server_a:
                 with OptimizerServer(**bounds) as server_b:
@@ -404,7 +404,7 @@ class TestOverloadReroute:
         try:
             with OptimizerServer(
                 shards=1,
-                executor="serial",
+                workers=1,
                 max_inflight=1,
                 max_queue_depth=1,
                 overload_retry_after=0.25,

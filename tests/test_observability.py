@@ -130,7 +130,7 @@ class TestTraceCore:
 class TestServiceTracing:
     def test_response_carries_a_complete_span_tree(self):
         tracer = Tracer()
-        with OptimizerService(shards=1, executor="serial", tracer=tracer) as service:
+        with OptimizerService(shards=1, workers=1, tracer=tracer) as service:
             response = _submit_one(service)
         assert response.ok
         record = response.trace.as_dict()
@@ -141,7 +141,7 @@ class TestServiceTracing:
         """On the serial executor every stage is a disjoint wall-clock slice
         of its request, so the billed seconds sum to at most the duration."""
         tracer = Tracer()
-        with OptimizerService(shards=1, executor="serial", tracer=tracer) as service:
+        with OptimizerService(shards=1, workers=1, tracer=tracer) as service:
             responses = [
                 _submit_one(service, build_ec2(1, 2, 1)),
                 _submit_one(service, build_ec1(2, 1), strategy="ocs"),
@@ -155,7 +155,7 @@ class TestServiceTracing:
 
     def test_trace_attributes_match_request_metrics(self):
         tracer = Tracer()
-        with OptimizerService(shards=1, executor="serial", tracer=tracer) as service:
+        with OptimizerService(shards=1, workers=1, tracer=tracer) as service:
             response = _submit_one(service)
         spans = {span["stage"]: span for span in response.trace.as_dict()["stages"]}
         assert spans["chase"]["attrs"]["cache_hits"] == response.metrics.cache_hits
@@ -164,7 +164,7 @@ class TestServiceTracing:
         assert spans["containment"]["attrs"]["memo_misses"] == response.metrics.memo_misses
 
     def test_untraced_service_attaches_no_trace(self):
-        with OptimizerService(shards=1, executor="serial") as service:
+        with OptimizerService(shards=1, workers=1) as service:
             response = _submit_one(service)
         assert response.trace is None
         assert response.plan_digests is None
@@ -180,7 +180,7 @@ class TestServiceTracing:
         workload = build_ec2(1, 2, 1)
         with OptimizerService(
             shards=1,
-            executor="serial",
+            workers=1,
             max_inflight=1,
             max_queue_depth=1,
             tracer=tracer,
@@ -203,7 +203,7 @@ class TestServiceTracing:
 
     def test_tracer_ring_is_bounded_and_counts(self):
         tracer = Tracer(ring_size=2)
-        with OptimizerService(shards=1, executor="serial", tracer=tracer) as service:
+        with OptimizerService(shards=1, workers=1, tracer=tracer) as service:
             for _ in range(4):
                 _submit_one(service)
         assert len(tracer.recent()) == 2
@@ -212,7 +212,7 @@ class TestServiceTracing:
     def test_trace_log_is_jsonl(self, tmp_path):
         path = tmp_path / "traces.jsonl"
         tracer = Tracer(trace_log=str(path))
-        with OptimizerService(shards=1, executor="serial", tracer=tracer) as service:
+        with OptimizerService(shards=1, workers=1, tracer=tracer) as service:
             _submit_one(service)
         tracer.close()
         records = [json.loads(line) for line in path.read_text().splitlines()]
@@ -224,7 +224,7 @@ class TestServiceTracing:
 
         tracer = Tracer()
         workload = build_ec2(1, 2, 1)
-        with OptimizerService(shards=1, executor="serial", tracer=tracer) as service:
+        with OptimizerService(shards=1, workers=1, tracer=tracer) as service:
             response = _submit_one(service, workload)
         record = encode_response("r1", workload, "fb", response)
         assert record["status"] == "ok"
@@ -252,7 +252,7 @@ class TestPrometheusRendering:
 
     def test_every_stats_field_becomes_a_gauge(self):
         """Exhaustive by construction: iterate the live as_dict mapping."""
-        with OptimizerService(shards=2, executor="serial") as service:
+        with OptimizerService(shards=2, workers=1) as service:
             _submit_one(service)
             stats = service.stats()
         text = render_metrics(stats)
@@ -261,7 +261,7 @@ class TestPrometheusRendering:
             assert f"\nrepro_{key} " in "\n" + text, key
 
     def test_shard_gauges_are_labelled(self):
-        with OptimizerService(shards=2, executor="serial") as service:
+        with OptimizerService(shards=2, workers=1) as service:
             _submit_one(service)
             stats = service.stats()
         text = render_metrics(stats)
@@ -304,7 +304,7 @@ class TestPrometheusRendering:
 class TestObservabilityServer:
     def test_health_ready_metrics_traces(self):
         tracer = Tracer()
-        with OptimizerService(shards=1, executor="serial", tracer=tracer) as service:
+        with OptimizerService(shards=1, workers=1, tracer=tracer) as service:
             _submit_one(service)
             with ObservabilityServer(service, tracer=tracer) as obs:
                 status, _, body = _get(obs.port, "/healthz")
@@ -321,7 +321,7 @@ class TestObservabilityServer:
                 assert {s["stage"] for s in traces[0]["stages"]} == set(STAGES)
 
     def test_readyz_turns_503_when_service_unready(self):
-        service = OptimizerService(shards=1, executor="serial")
+        service = OptimizerService(shards=1, workers=1)
         with ObservabilityServer(service) as obs:
             status, _, _ = _get(obs.port, "/readyz")
             assert status == 200
@@ -331,7 +331,7 @@ class TestObservabilityServer:
             assert json.loads(body)["ready"] is False
 
     def test_broken_readiness_probe_reads_as_503(self):
-        with OptimizerService(shards=1, executor="serial") as service:
+        with OptimizerService(shards=1, workers=1) as service:
             def probe():
                 raise RuntimeError("probe exploded")
 
@@ -341,7 +341,7 @@ class TestObservabilityServer:
         assert "probe exploded" in json.loads(body)["detail"]["error"]
 
     def test_unknown_route_is_404_and_traces_without_tracer_too(self):
-        with OptimizerService(shards=1, executor="serial") as service:
+        with OptimizerService(shards=1, workers=1) as service:
             with ObservabilityServer(service) as obs:
                 status, _, _ = _get(obs.port, "/nope")
                 assert status == 404
@@ -350,7 +350,7 @@ class TestObservabilityServer:
                 assert "not enabled" in json.loads(body)["error"]
 
     def test_stop_is_idempotent(self):
-        with OptimizerService(shards=1, executor="serial") as service:
+        with OptimizerService(shards=1, workers=1) as service:
             obs = ObservabilityServer(service)
             obs.stop()
             obs.stop()
@@ -361,7 +361,7 @@ class TestObservabilityServer:
 # ---------------------------------------------------------------------- #
 class TestStatsParity:
     def test_three_surfaces_agree_field_for_field(self):
-        with OptimizerService(shards=2, executor="serial") as service:
+        with OptimizerService(shards=2, workers=1) as service:
             with OptimizerServer(service=service) as server:
                 with OptimizerClient(port=server.port) as client:
                     client.request(
@@ -410,7 +410,7 @@ class TestEventLog:
     def test_request_lifecycle_events(self, tmp_path):
         path = tmp_path / "events.jsonl"
         with EventLog(path=str(path)) as log:
-            with OptimizerService(shards=1, executor="serial", event_log=log) as service:
+            with OptimizerService(shards=1, workers=1, event_log=log) as service:
                 _submit_one(service)
         records = [json.loads(line) for line in path.read_text().splitlines()]
         names = [r["event"] for r in records]
@@ -423,7 +423,7 @@ class TestEventLog:
         faults = FaultInjector().rule("shard.execute", times=1, crash=True)
         with EventLog(path=str(path)) as log:
             with OptimizerService(
-                shards=1, executor="serial", fault_injector=faults, event_log=log
+                shards=1, workers=1, fault_injector=faults, event_log=log
             ) as service:
                 crashed = _submit_one(service)
                 healed = _submit_one(service)
@@ -436,10 +436,10 @@ class TestEventLog:
         events_path = tmp_path / "events.jsonl"
         snapshot_path = tmp_path / "caches.pkl"
         with EventLog(path=str(events_path)) as log:
-            with OptimizerService(shards=1, executor="serial", event_log=log) as service:
+            with OptimizerService(shards=1, workers=1, event_log=log) as service:
                 _submit_one(service)
                 service.save_caches(str(snapshot_path))
-            with OptimizerService(shards=1, executor="serial", event_log=log) as warm:
+            with OptimizerService(shards=1, workers=1, event_log=log) as warm:
                 warm.load_caches(str(snapshot_path))
         records = [json.loads(line) for line in events_path.read_text().splitlines()]
         loaded = [r for r in records if r["event"] == "snapshot.loaded"]
@@ -454,10 +454,10 @@ class TestStatsSatellites:
     def test_sessions_restored_is_tracked_and_exported(self, tmp_path):
         """record_snapshot_load used to drop its ``sessions`` argument."""
         snapshot_path = tmp_path / "caches.pkl"
-        with OptimizerService(shards=1, executor="serial") as service:
+        with OptimizerService(shards=1, workers=1) as service:
             _submit_one(service)
             service.save_caches(str(snapshot_path))
-        with OptimizerService(shards=1, executor="serial") as warm:
+        with OptimizerService(shards=1, workers=1) as warm:
             restored = warm.load_caches(str(snapshot_path))
             stats = warm.stats()
         assert restored >= 1
@@ -472,7 +472,7 @@ class TestStatsSatellites:
         assert stats.as_dict()["p99_latency_s"] == round(stats.p99_latency, 6)
 
     def test_readiness_probe(self):
-        service = OptimizerService(shards=1, executor="serial")
+        service = OptimizerService(shards=1, workers=1)
         ready, detail = service.readiness()
         assert ready and detail == {"shards": 1}
         service.shutdown()
@@ -488,7 +488,7 @@ class TestObsCheckCli:
         from repro.cli import main
 
         tracer = Tracer()
-        with OptimizerService(shards=1, executor="serial", tracer=tracer) as service:
+        with OptimizerService(shards=1, workers=1, tracer=tracer) as service:
             _submit_one(service)
             with ObservabilityServer(service, tracer=tracer) as obs:
                 code = main(["obs-check", "--port", str(obs.port)])
@@ -498,7 +498,7 @@ class TestObsCheckCli:
     def test_obs_check_fails_without_traces(self, capsys):
         from repro.cli import main
 
-        with OptimizerService(shards=1, executor="serial") as service:
+        with OptimizerService(shards=1, workers=1) as service:
             with ObservabilityServer(service) as obs:
                 code = main(["obs-check", "--port", str(obs.port)])
         assert code == 1

@@ -160,7 +160,7 @@ class TestDeterministicOverload:
         )
         workload = build_ec2(1, 3, 1)
         service = OptimizerService(
-            shards=1, executor="serial", max_inflight=1, max_queue_depth=1
+            shards=1, workers=1, max_inflight=1, max_queue_depth=1
         )
         try:
             first = service.submit(workload.query, catalog=workload.catalog)
@@ -191,7 +191,7 @@ class TestDeterministicOverload:
             shard_module, "CBOptimizer", self._blocking_optimizer(release, started)
         )
         with OptimizerServer(
-            shards=1, executor="serial", max_inflight=1, max_queue_depth=1
+            shards=1, workers=1, max_inflight=1, max_queue_depth=1
         ) as server:
             with OptimizerClient(port=server.port) as client:
                 blocked = client.submit(dict(EC2_REQUEST))

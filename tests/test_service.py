@@ -1,13 +1,13 @@
-"""The long-lived optimizer service: equivalence, warmth, sharding, batching.
+"""The long-lived optimizer service: equivalence, warmth, sharding, pools.
 
 The load-bearing property is **plan-set equivalence**: every plan list that
 comes back through :class:`~repro.service.OptimizerService` — any strategy,
-any workload, warm or cold caches, batched with other requests or alone —
-must be signature-identical to a fresh single-shot
-:meth:`~repro.chase.optimizer.CBOptimizer.optimize` with the same knobs.
-The remaining tests cover the admission/sharding layer, the warm-cache
-behaviour across requests, the cross-query wave batching, the metrics
-surface and the lifecycle.
+any workload, warm or cold caches, sharing the shard's worker pool with
+other requests or alone — must be signature-identical to a fresh
+single-shot :meth:`~repro.chase.optimizer.CBOptimizer.optimize` with the
+same knobs.  The remaining tests cover the admission/sharding layer, the
+warm-cache behaviour across requests, failures inside the worker pool, the
+metrics surface and the lifecycle.
 """
 
 import threading
@@ -15,12 +15,7 @@ import threading
 import pytest
 
 from repro.chase.implication import constraint_signature
-from repro.service import (
-    OptimizerService,
-    ScheduledPool,
-    WaveScheduler,
-    shard_index,
-)
+from repro.service import OptimizerService, shard_index
 from repro.workloads import build_ec1, build_ec2, build_ec3
 
 
@@ -43,7 +38,7 @@ class TestPlanSetEquivalence:
     def test_matches_single_shot(self, build, args, strategy):
         workload = build(*args)
         baseline = _single_shot(workload, strategy)
-        with OptimizerService(shards=1, executor="threads", workers=2) as service:
+        with OptimizerService(shards=1, workers=2) as service:
             response = service.submit(
                 workload.query, strategy=strategy, catalog=workload.catalog
             ).result()
@@ -51,11 +46,11 @@ class TestPlanSetEquivalence:
         assert _signatures(response.result.plans) == _signatures(baseline.plans)
         assert response.result.plan_count == baseline.plan_count
 
-    @pytest.mark.parametrize("executor", ["serial", "threads"])
-    def test_matches_under_both_service_executors(self, executor):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_matches_at_each_pool_size(self, workers):
         workload = build_ec2(1, 3, 1)
         baseline = _single_shot(workload, "fb")
-        with OptimizerService(shards=1, executor=executor, workers=2) as service:
+        with OptimizerService(shards=1, workers=workers) as service:
             response = service.submit(workload.query, catalog=workload.catalog).result()
         assert _signatures(response.result.plans) == _signatures(baseline.plans)
 
@@ -70,7 +65,7 @@ class TestPlanSetEquivalence:
         assert _signatures(second.result.plans) == _signatures(baseline.plans)
 
     def test_concurrent_mixed_batch_matches(self):
-        """Interleaved multi-catalog traffic (batched waves) stays exact."""
+        """Interleaved multi-catalog traffic on shared pools stays exact."""
         configs = [
             (build_ec2(1, 3, 2), "fb"),
             (build_ec1(2, 1), "fb"),
@@ -195,23 +190,45 @@ class TestShardingAndAdmission:
         service.shutdown()  # idempotent
 
 
-class TestBatchingAndMetrics:
-    def test_concurrent_requests_share_waves(self):
-        workload = build_ec2(1, 3, 2)
-        other = build_ec2(2, 2, 1)
-        with OptimizerService(shards=1, workers=2, max_inflight=4, batch_window=0.01) as service:
-            futures = [
-                service.submit(w.query, strategy=s, catalog=w.catalog)
-                for _ in range(2)
-                for w, s in [(workload, "fb"), (other, "oqf")]
-            ]
-            for future in futures:
-                assert future.result().ok
-            stats = service.stats()
-        assert stats.waves > 0
-        assert stats.cross_request_waves > 0
-        assert stats.requests == 4
+class TestWorkerPool:
+    @pytest.mark.parametrize(
+        "strategy,module,name",
+        [
+            ("fb", "repro.service.scheduler", "_evaluate_chunk"),
+            ("oqf", "repro.chase.optimizer", "_run_stage_task"),
+        ],
+        ids=["backchase-chunk", "stage-task"],
+    )
+    def test_pool_failure_resolves_its_request_and_the_shard_keeps_serving(
+        self, monkeypatch, strategy, module, name
+    ):
+        """A backchase chunk or stage task that raises on a pool worker fails
+        only its own request; the next request on the shard is served."""
+        workload = build_ec2(1, 3, 1)
+        baseline = _single_shot(workload, strategy)
 
+        def boom(*args, **kwargs):
+            raise RuntimeError("kaput")
+
+        with OptimizerService(shards=1, workers=2) as service:
+            with monkeypatch.context() as patch:
+                patch.setattr(f"{module}.{name}", boom)
+                failed = service.submit(
+                    workload.query, strategy=strategy, catalog=workload.catalog
+                ).result(timeout=30)
+            served = service.submit(
+                workload.query, strategy=strategy, catalog=workload.catalog
+            ).result(timeout=30)
+            stats = service.stats()
+        assert not failed.ok
+        assert "kaput" in failed.error
+        assert served.ok, served.error
+        assert _signatures(served.result.plans) == _signatures(baseline.plans)
+        assert stats.errors == 1
+        assert stats.runner_failures == 0
+
+
+class TestBatchingAndMetrics:
     def test_stats_surface(self):
         workload = build_ec1(2, 1)
         with OptimizerService(shards=2) as service:
@@ -232,67 +249,6 @@ class TestBatchingAndMetrics:
             response = service.submit(workload.query, catalog=workload.catalog).result()
         assert response.result.executor == "scheduled"
         assert response.result.workers == 3
-
-
-class TestWaveScheduler:
-    def test_batches_and_demuxes(self):
-        scheduler = WaveScheduler(executor="threads", workers=2, batch_window=0.02)
-        try:
-            futures = {
-                rid: scheduler.submit(rid, lambda x: x * 10, rid) for rid in range(8)
-            }
-            for rid, future in futures.items():
-                assert future.result(timeout=5) == rid * 10
-            stats = scheduler.stats()
-            assert stats.items == 8
-            assert stats.waves >= 1
-            assert stats.cross_request_waves >= 1
-        finally:
-            scheduler.shutdown()
-
-    def test_worker_exceptions_reach_the_future(self):
-        scheduler = WaveScheduler(executor="serial")
-        try:
-            def boom(_):
-                raise RuntimeError("kaput")
-
-            future = scheduler.submit("r", boom, None)
-            with pytest.raises(RuntimeError, match="kaput"):
-                future.result(timeout=5)
-        finally:
-            scheduler.shutdown()
-
-    def test_rejects_process_pools_and_submit_after_shutdown(self):
-        with pytest.raises(ValueError):
-            WaveScheduler(executor="processes")
-        scheduler = WaveScheduler(executor="serial")
-        scheduler.shutdown()
-        with pytest.raises(RuntimeError):
-            scheduler.submit("r", lambda x: x, 1)
-
-    def test_scheduled_pool_demux_guard(self):
-        """An outcome stamped with a foreign request id is rejected."""
-        scheduler = WaveScheduler(executor="serial")
-        try:
-            pool = ScheduledPool(scheduler, request_id="mine")
-
-            class FakeContext:
-                request_id = None
-
-            class FakeQuery:
-                def restrict_to(self, key):
-                    return None
-
-            context = FakeContext()
-            pool.start(context, cache=None)
-            assert context.request_id == "mine"
-            # sanity: a well-stamped wave passes through
-            context.universal_plan = FakeQuery()
-            context.original = None
-            outcomes = pool.run_wave([frozenset({"x"})], deadline=None)
-            assert all(outcome.request_id == "mine" for outcome in outcomes)
-        finally:
-            scheduler.shutdown()
 
 
 class TestMetricsCollector:
