@@ -56,7 +56,7 @@ def constraints_digest(constraints):
 
     This is the one constraint-set identity shared by every placement and
     persistence layer: shard routing (:func:`repro.service.shard.shard_index`),
-    the fleet router's consistent-hash ring, snapshot staleness manifests and
+    the fleet router's consistent-hash ring, snapshot staleness checks and
     the cross-process sync guard all hash this digest.  Hashing anything
     weaker (the sorted dependency *names*, as the pre-fleet shard router did)
     aliases constraint sets whose names collide but whose bodies differ —
@@ -66,15 +66,15 @@ def constraints_digest(constraints):
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-class ChaseCache:
+class ChaseCache:  # repro-lint: ignore[pickle-safety] never pickled — the session codec copies entries through export_since
     """Memoises chase results keyed by query signature.
 
     The backchase chases many closely related subqueries; reusing results for
     identical subqueries (reached through different removal orders) is one of
     the implementation techniques that keeps the prototype usable.
 
-    The cache is picklable and *mergeable*: the parallel backchase gives each
-    worker process its own cache and folds the workers' newly chased entries
+    The cache is *mergeable*: the parallel backchase gives each worker
+    process its own cache and folds the workers' newly chased entries
     (exported with :meth:`snapshot` / :meth:`export_since`) back into the
     shared cache with :meth:`merge_exported` after every wave.
 
@@ -110,21 +110,6 @@ class ChaseCache:
         self.misses = 0  # guarded-by: _lock
         self.evictions = 0  # guarded-by: _lock
         self.counters = ChaseCounters()  # guarded-by: _lock
-        self._lock = threading.Lock()
-
-    def __getstate__(self):
-        # Copy the mutable containers under the lock: caches are pickled
-        # live by concurrent snapshots, and pickling an OrderedDict another
-        # thread is inserting into raises "mutated during iteration".
-        with self._lock:
-            state = self.__dict__.copy()
-            state["_cache"] = OrderedDict(self._cache)
-            state["_log"] = list(self._log)
-        del state["_lock"]
-        return state
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
         self._lock = threading.Lock()
 
     def chase(self, query, deadline=None):
@@ -269,17 +254,8 @@ class ChaseCache:
             counters.add(other.counters)
         self.merge_exported(entries, hits, misses, counters)
 
-    def reset_counters(self):
-        """Zero the accounting (entries stay).  Used when a persisted cache
-        is loaded into a fresh process, so stats describe the new life."""
-        with self._lock:
-            self.hits = 0
-            self.misses = 0
-            self.evictions = 0
-            self.counters = ChaseCounters()
 
-
-class ChaseCacheRegistry:
+class ChaseCacheRegistry:  # repro-lint: ignore[pickle-safety] never pickled — the session codec copies caches through export_entries
     """Warm :class:`ChaseCache` instances keyed by exact constraint set.
 
     One optimize call chases under several *different* dependency sets (the
@@ -296,18 +272,6 @@ class ChaseCacheRegistry:
         self.max_entries = max_entries
         self.chase_kwargs = chase_kwargs
         self._caches = {}  # guarded-by: _lock
-        self._lock = threading.Lock()
-
-    def __getstate__(self):
-        # Copy the cache table under the lock (see ChaseCache.__getstate__).
-        with self._lock:
-            state = self.__dict__.copy()
-            state["_caches"] = dict(self._caches)
-        del state["_lock"]
-        return state
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
         self._lock = threading.Lock()
 
     def for_constraints(self, dependencies):
@@ -344,26 +308,6 @@ class ChaseCacheRegistry:
             "evictions": sum(stats["evictions"] for stats in per_cache),
         }
 
-    def reset_counters(self):
-        """Zero every cache's accounting (see :meth:`ChaseCache.reset_counters`)."""
-        with self._lock:
-            caches = list(self._caches.values())
-        for cache in caches:
-            cache.reset_counters()
-
-    def set_max_entries(self, max_entries):
-        """Re-apply an LRU bound to the registry and every existing cache.
-
-        Used when loaded (restored-from-snapshot) registries are installed
-        under a shard whose configured bound differs from the saving
-        process's; over-bound caches evict down on their next insertion.
-        """
-        with self._lock:
-            self.max_entries = max_entries
-            caches = list(self._caches.values())
-        for cache in caches:
-            cache.max_entries = max_entries
-
     # ------------------------------------------------------------------ #
     # delta exchange (cross-process fleet sync)
     # ------------------------------------------------------------------ #
@@ -372,79 +316,36 @@ class ChaseCacheRegistry:
 
         ``markers`` maps :func:`constraint_signature` to the marker returned
         by the previous call (missing/``None`` = everything).  Returns
-        ``(exported, new_markers)`` where ``exported`` maps each signature to
-        the plain ``{query_signature: fixpoint}`` dict of new entries (empty
-        exports are omitted) and ``new_markers`` is what the *next* call
-        should pass.  Markers are taken before the export, so an entry
-        landing between the two reads is shipped twice — harmless, because
-        :meth:`merge_entries` is idempotent.
+        ``(exported, new_markers)``: one ``(dependencies, {query_signature:
+        fixpoint})`` pair per cache with new entries (copied under the
+        cache's lock), and what the *next* call should pass.  Markers are
+        taken before the export, so an entry landing between the two reads
+        is shipped twice — harmless, because :meth:`merge_entries` is
+        idempotent.
         """
         markers = markers or {}
         with self._lock:
             caches = dict(self._caches)
-        exported = {}
+        exported = []
         new_markers = {}
         for signature, cache in caches.items():
             new_markers[signature] = cache.snapshot()
             entries = cache.export_since(markers.get(signature, 0))
             if entries:
-                exported[signature] = entries
+                exported.append((tuple(cache.dependencies), entries))
         return exported, new_markers
 
     def merge_entries(self, exported):
-        """Fold a peer registry's :meth:`export_entries` payload into this one.
+        """Fold :meth:`export_entries`-shaped ``(dependencies, entries)`` pairs in.
 
         Creates the per-constraint-set cache on first contact (the receiving
         process may never have chased under that sub-set locally — OQF/OCS
-        fragment sets differ per strategy mix).  Returns the number of
-        entries offered; duplicates are skipped inside
-        :meth:`ChaseCache.merge_exported`, so replaying an export is safe.
+        fragment sets differ per strategy mix) under this registry's LRU
+        bound.  Duplicates are skipped inside :meth:`ChaseCache.
+        merge_exported`, so replaying an export is safe.
         """
-        merged = 0
-        for signature, entries in exported.items():
-            cache = self.for_constraints(list(signature))
-            cache.merge_exported(entries)
-            merged += len(entries)
-        return merged
-
-    # ------------------------------------------------------------------ #
-    # persistence (the service's warm-restart snapshots)
-    # ------------------------------------------------------------------ #
-    def save(self, path):
-        """Pickle the registry (every per-constraint-set cache) to ``path``.
-
-        The snapshot is taken under the registry lock; the individual caches
-        are pickled through their own ``__getstate__`` (locks stripped).  A
-        restarted process can :meth:`load` the file and serve its first
-        request against already-warm fixpoints.
-        """
-        import pickle
-
-        with self._lock:
-            payload = {"max_entries": self.max_entries, "caches": dict(self._caches)}
-        with open(path, "wb") as handle:
-            pickle.dump(payload, handle)
-
-    @classmethod
-    def load(cls, path, max_entries=None, **chase_kwargs):
-        """Rebuild a registry from a :meth:`save` snapshot.
-
-        ``max_entries`` overrides the snapshot's bound when given (a restart
-        may tighten or loosen the LRU limit); loaded caches over the new
-        bound evict down to it on their next insertion.
-        """
-        import pickle
-
-        with open(path, "rb") as handle:
-            payload = pickle.load(handle)
-        registry = cls(
-            max_entries=max_entries if max_entries is not None else payload["max_entries"],
-            **chase_kwargs,
-        )
-        for signature, cache in payload["caches"].items():
-            cache.max_entries = registry.max_entries
-            registry._caches[signature] = cache
-        return registry
+        for dependencies, entries in exported:
+            self.for_constraints(dependencies).merge_exported(entries)
 
 
 def contained_under(query, other, dependencies, chase_cache=None):

@@ -11,7 +11,7 @@ Usage (after ``pip install -e .``)::
     python -m repro.cli optimize ec2 --stars 2 --corners 3 --views 1 --strategy oqf --workers 4 --executor processes
     python -m repro.cli batch --input requests.jsonl --output results.jsonl --shards 2
     python -m repro.cli serve < requests.jsonl
-    python -m repro.cli serve --port 7411 --max-queue-depth 16 --snapshot warm.pkl
+    python -m repro.cli serve --port 7411 --max-queue-depth 16 --snapshot warm.snap
     python -m repro.cli client --port 7411 --input requests.jsonl --check
     python -m repro.cli route --backend 127.0.0.1:7411 --backend 127.0.0.1:7412 \\
         --port 7410 --sync-interval 5

@@ -16,8 +16,9 @@ order-insensitive over bindings, normalised conditions and outputs, so any
 two structurally identical queries share a key).  A verdict depends on
 nothing but the two queries, so the memo is sound across requests, catalogs
 and constraint sets; it is LRU-bounded like
-:class:`~repro.chase.implication.ChaseCache`, thread-safe, picklable (for
-the service's cache-persistence snapshots) and mergeable.
+:class:`~repro.chase.implication.ChaseCache`, thread-safe and mergeable
+(snapshots and the fleet sync carry its verdicts through
+:meth:`ContainmentMemo.export_since`).
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from repro.cq.containment import has_containment_mapping
 from repro.trace import traced_stage
 
 
-class ContainmentMemo:
+class ContainmentMemo:  # repro-lint: ignore[pickle-safety] never pickled — the session codec copies verdicts through export_since
     """LRU-bounded memo of containment-mapping verdicts.
 
     Parameters
@@ -59,25 +60,6 @@ class ContainmentMemo:
         self.hits = 0  # guarded-by: _lock
         self.misses = 0  # guarded-by: _lock
         self.evictions = 0  # guarded-by: _lock
-        self._lock = threading.Lock()
-
-    def __getstate__(self):
-        # Copy the verdict table under the lock: the memo is pickled live by
-        # concurrent snapshots, and pickling an OrderedDict another thread is
-        # inserting into raises "mutated during iteration".
-        with self._lock:
-            state = self.__dict__.copy()
-            state["_verdicts"] = OrderedDict(self._verdicts)
-            state["_log"] = list(self._log)
-        del state["_lock"]
-        return state
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-        # Memos pickled before the delta log existed (pre-fleet snapshots)
-        # rebuild it from the live verdicts, so a marker-0 export still ships
-        # everything the restored memo knows.
-        self.__dict__.setdefault("_log", list(self._verdicts))
         self._lock = threading.Lock()
 
     @staticmethod
@@ -179,14 +161,6 @@ class ContainmentMemo:
                 self._store(key, verdict)
             self.hits += hits
             self.misses += misses
-
-    def reset_counters(self):
-        """Zero the accounting (verdicts stay).  Used when a persisted memo
-        is loaded into a fresh process, so stats describe the new life."""
-        with self._lock:
-            self.hits = 0
-            self.misses = 0
-            self.evictions = 0
 
     def __len__(self):
         # Takes the lock: a bare len() can observe the OrderedDict mid-insert

@@ -304,8 +304,8 @@ class PCQuery:
         # requests once chase and containment results are cached.  Storing
         # the table on the instance keeps its lifetime tied to the query
         # (evicted together with the chase-cache entry that holds it, so
-        # the service's LRU bounds stay meaningful) and lets cache
-        # persistence carry the restrictions across restarts for free.
+        # the service's LRU bounds stay meaningful); the session codec
+        # carries the table with its fixpoint across restarts and replicas.
         key = (keep, tuple(extra_output))
         table = self.__dict__.get("_restrictions")
         if table is None:
@@ -318,10 +318,9 @@ class PCQuery:
         return result
 
     def __getstate__(self):
-        # Copy the instance dict so pickling never iterates a restriction
-        # table a concurrent request is still filling (snapshots are taken
-        # at drain time, but a stray in-flight request must not corrupt
-        # them), and so the memo travels with persisted universal plans.
+        # Process-pool backchase tasks pickle queries between trusted local
+        # processes.  Copy the instance dict so pickling never iterates a
+        # restriction table a concurrent request is still filling.
         state = dict(self.__dict__)
         table = state.get("_restrictions")
         if table is not None:

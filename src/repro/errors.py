@@ -135,14 +135,22 @@ class ConnectionLost(ReproError, ConnectionError):
     """
 
 
+class CodecError(ReproError, ValueError):
+    """Raised when a session document does not decode (or encode).
+
+    :func:`repro.service.codec.decode_session` raises it for anything that
+    is not a well-formed session document.  Subclasses :class:`ValueError`
+    so ``except ValueError`` handlers count it as a rejection.
+    """
+
+
 class SnapshotError(ReproError):
     """Raised when a cache snapshot cannot be read or fails validation.
 
     Covers every way an operator-supplied snapshot file can be unusable:
-    missing, truncated, unpicklable, failing its payload checksum, carrying
-    an unsupported version, or — per session — a constraint-set signature
-    that no longer matches its payload (staleness).  Loaders degrade to a
-    cold start instead of crashing the server at boot.
+    missing, truncated, not a snapshot (an old pickle snapshot included),
+    failing its body checksum, or carrying an unsupported version.  Loaders
+    degrade to a cold start instead of crashing the server at boot.
 
     Attributes
     ----------
@@ -150,7 +158,7 @@ class SnapshotError(ReproError):
         The snapshot file involved.
     reason:
         Short machine-readable cause (``"missing"``, ``"corrupt"``,
-        ``"checksum"``, ``"version"``, ``"stale"``, ``"io"``).
+        ``"checksum"``, ``"version"``, ``"io"``).
     """
 
     def __init__(self, message, path=None, reason=None):

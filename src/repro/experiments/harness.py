@@ -382,8 +382,9 @@ class WarmRestartMeasurement:
       caches runs the full request list (its later rounds warm up in
       process, which is where the within-life ``memo_hit_rate_cold`` and
       ``cache_hit_rate_cold`` come from);
-    * **snapshot** — the cold service's sessions (chase-cache registries +
-      containment memos) are pickled with ``save_caches``;
+    * **snapshot** — the cold service's sessions (chase-cache entries with
+      their restriction tables + containment verdicts) are written as
+      session documents with ``save_caches``;
     * **restarted** — a brand-new service loads the snapshot
       (``load_caches``) and replays the same request list.  Every chase is a
       cache hit and every containment verdict a memo hit, so
@@ -427,7 +428,9 @@ def measure_warm_restart(
     Runs the interleaved mixed request list (as
     :func:`measure_service_throughput`) through a cold service, snapshots its
     warm state, loads the snapshot into a *new* service, and replays the same
-    list.  ``snapshot_path=None`` uses a temporary file (removed afterwards).
+    list.  ``snapshot_bytes`` is the size of the :mod:`repro.service.snapshots`
+    file (one data-only session document per catalog); ``snapshot_path=None``
+    uses a temporary file (removed afterwards).
     """
     import os
     import tempfile
@@ -445,7 +448,7 @@ def measure_warm_restart(
 
     cleanup = snapshot_path is None
     if snapshot_path is None:
-        handle = tempfile.NamedTemporaryFile(prefix="repro-warm-", suffix=".pkl", delete=False)
+        handle = tempfile.NamedTemporaryFile(prefix="repro-warm-", suffix=".snap", delete=False)
         handle.close()
         snapshot_path = handle.name
 
@@ -472,8 +475,8 @@ def measure_warm_restart(
         # Both lives run in one process, but a genuinely redeployed server
         # starts with the module-level congruence caches empty — clear them
         # so the restarted life is served only by what the snapshot actually
-        # persisted (chase fixpoints, containment memos, and the restriction
-        # tables riding on the pickled universal plans).
+        # persisted (chase fixpoints, containment verdicts, and the
+        # restriction tables the codec writes with each fixpoint).
         from repro.cq.query import _shared_congruence, _shared_saturated_congruence
 
         _shared_congruence.cache_clear()

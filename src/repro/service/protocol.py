@@ -24,28 +24,24 @@ metadata), ``"error"`` (decode or engine failure), or ``"overloaded"``
 (admission rejected the request — retry after backing off; nothing was
 executed).
 
-Fleet sync (PR 10): ``{"op": "sync", "mode": "export"}`` asks a backend for
-the cache/memo deltas of its hot sessions; ``{"op": "sync", "mode":
-"merge", "sessions": [...]}`` offers a peer's deltas for merging.  Each
-session entry is ``{"digest": <constraints_digest>, "label": ...,
-"data": <base64 pickle>}`` — the pickled payload carries the exact
-constraint-set signature plus per-cache entry dicts and memo verdicts
-(engine objects are not JSON-representable, so they ride base64-encoded
-inside the JSONL frame).  The receiver *recomputes* the structural digest
-from the payload's signature and rejects entries whose recomputed digest
-disagrees with the advertised one — the same staleness discipline snapshot
-loading applies, because exchanged fixpoints and verdicts are only valid
-under the dependency set they were computed with.
+Fleet sync: ``{"op": "sync", "mode": "export"}`` asks a backend for the
+cache/memo deltas of its hot sessions; ``{"op": "sync", "mode": "merge",
+"sessions": [...]}`` offers a peer's deltas for merging.  Each session
+entry is a plain JSON object, one :mod:`~repro.service.codec` session
+document (``label``, the advertised ``constraints_digest``, and a node
+table encoding the exact constraint set, the new chase-cache entries with
+their restriction tables, and the new containment verdicts).  The
+receiver decodes it with the codec's checked decoder, *recomputes* the
+digest from the decoded constraints and rejects the whole entry when
+either step fails — exchanged fixpoints and verdicts are only valid under
+the dependency set they were computed with.
 """
 
 from __future__ import annotations
 
-import base64
 import hashlib
 import json
-import pickle
 
-from repro.chase.implication import constraints_digest
 from repro.workloads import build_ec1, build_ec2, build_ec3
 
 #: workload name -> (builder, parameter names accepted in a request's "params")
@@ -63,8 +59,15 @@ def decode_request(line, default_id, build=True):
     (``workload`` comes back ``None``): the socket client forwards requests
     for the *server* to build, so paying catalog construction per line on
     the client would only gate submission throughput.
+
+    A bad record raises only ``ValueError`` or ``TypeError`` — a builder
+    failure (a ``ParseError`` from out-of-range params, say) is re-raised
+    as a chained ``ValueError`` — so callers can answer it with an error.
     """
-    record = json.loads(line) if isinstance(line, str) else line
+    try:
+        record = json.loads(line) if isinstance(line, str) else line
+    except RecursionError as error:
+        raise ValueError("request line is nested too deeply") from error
     if not isinstance(record, dict):
         raise ValueError("request line must be a JSON object")
     name = record.get("workload")
@@ -77,7 +80,10 @@ def decode_request(line, default_id, build=True):
     unknown = set(params) - set(accepted)
     if unknown:
         raise ValueError(f"unknown {name} params {sorted(unknown)}; accepted: {accepted}")
-    workload = builder(**params) if build else None
+    try:
+        workload = builder(**params) if build else None
+    except Exception as error:  # noqa: BLE001 - every builder failure is a bad request
+        raise ValueError(f"cannot build {name} with params {params!r}: {error}") from error
     return (
         record.get("id", default_id),
         workload,
@@ -175,52 +181,6 @@ def serving_record(host, port):
 # --------------------------------------------------------------------- #
 # fleet sync (cross-process cache/memo exchange)
 # --------------------------------------------------------------------- #
-def encode_sync_session(signature, caches, memo_entries, label=None):
-    """Encode one session's deltas for the wire.
-
-    ``signature`` is the exact constraint set (frozenset of dependencies),
-    ``caches`` maps per-constraint-set cache signatures to their exported
-    entry dicts (:meth:`ChaseCacheRegistry.export_entries`), ``memo_entries``
-    is the memo's :meth:`~repro.cq.memo.ContainmentMemo.export_since` list.
-    The advertised ``digest`` is recomputed by the receiver before merging.
-    """
-    payload = {
-        "signature": signature,
-        "caches": caches,
-        "memo": memo_entries,
-    }
-    return {
-        "digest": constraints_digest(signature),
-        "label": label,
-        "data": base64.b64encode(pickle.dumps(payload)).decode("ascii"),
-    }
-
-
-def decode_sync_session(session):
-    """Decode one wire session entry back to ``(advertised_digest, payload)``.
-
-    Raises ``ValueError`` on a malformed entry; the *semantic* guard
-    (recomputed digest vs. advertised) is the receiver's job — it needs the
-    decoded payload either way, and a mismatch is counted, not raised.
-    """
-    try:
-        data = base64.b64decode(session["data"])
-        payload = pickle.loads(data)
-        advertised = session["digest"]
-    except (
-        KeyError,
-        TypeError,
-        ValueError,
-        EOFError,  # pickle.loads on truncated/empty payloads
-        AttributeError,  # pickled classes the receiver cannot resolve
-        pickle.UnpicklingError,
-    ) as error:
-        raise ValueError(f"malformed sync session entry: {error}") from error
-    if not isinstance(payload, dict) or "signature" not in payload:
-        raise ValueError("malformed sync session entry: payload has no signature")
-    return advertised, payload
-
-
 def sync_export_request(request_id=None):
     """The control line asking a backend for its hot sessions' deltas."""
     record = {"op": "sync", "mode": "export"}
@@ -293,9 +253,7 @@ def overloaded_record(request_id, error=None):
 __all__ = [
     "WORKLOAD_BUILDERS",
     "decode_request",
-    "decode_sync_session",
     "encode_response",
-    "encode_sync_session",
     "error_record",
     "obs_check_record",
     "overloaded_record",

@@ -248,7 +248,7 @@ class OptimizerServer:  # repro-lint: ignore[pickle-safety] never pickled — ow
         # Control ops are answered inline (they never hit admission).
         try:
             probe = json.loads(line)
-        except json.JSONDecodeError as error:
+        except (ValueError, RecursionError) as error:
             connection.send(error_record(number, error))
             return
         if isinstance(probe, dict) and "op" in probe:

@@ -44,13 +44,15 @@ import time
 from concurrent.futures import Future
 from dataclasses import dataclass, field
 
-from repro.errors import ServiceOverloaded
+from repro.errors import CodecError, ServiceOverloaded, SnapshotError
 from repro.chase.implication import constraints_digest
 from repro.chase.optimizer import STRATEGIES
+from repro.service.codec import Session, decode_session, encode_session
 from repro.service.metrics import MetricsCollector, ServiceStats
 from repro.service.observability.events import log_event
-from repro.service.protocol import decode_sync_session, plan_digest
+from repro.service.protocol import plan_digest
 from repro.service.shard import Shard, shard_index
+from repro.service.snapshots import read_snapshot, write_snapshot
 
 
 @dataclass
@@ -135,7 +137,7 @@ class _PendingRequest:  # repro-lint: ignore[pickle-safety] never pickled — li
         return self._claim.acquire(blocking=False)
 
 
-class OptimizerService:  # repro-lint: ignore[pickle-safety] never pickled — save_caches() exports session state instead
+class OptimizerService:  # repro-lint: ignore[pickle-safety] never pickled — export_sessions() encodes session state instead
     """Long-lived, sharded, cache-warm C&B optimizer service.
 
     Parameters
@@ -255,7 +257,6 @@ class OptimizerService:  # repro-lint: ignore[pickle-safety] never pickled — s
         (no future exists — nothing was admitted), so callers can shed or
         retry immediately.
         """
-        admitted_at = time.perf_counter()
         request = ServiceRequest(
             query=query,
             strategy=strategy,
@@ -275,9 +276,10 @@ class OptimizerService:  # repro-lint: ignore[pickle-safety] never pickled — s
             if self.tracer is not None
             else None
         )
+        admitted_at = time.perf_counter()
         pending = _PendingRequest(request, trace=trace)
         try:
-            shard.submit(request, self._make_resolver(pending), trace=trace)
+            task = shard.submit(request, self._make_resolver(pending), trace=trace)
         except ServiceOverloaded:
             self._metrics.record_rejection()
             if trace is not None:
@@ -291,10 +293,11 @@ class OptimizerService:  # repro-lint: ignore[pickle-safety] never pickled — s
             )
             raise
         if trace is not None:
-            # Admission wait: validation, routing and the admission-control
-            # gate — everything between entering submit and the request
-            # landing on a runner queue.
-            trace.record("admission_wait", time.perf_counter() - admitted_at)
+            # Admission wait: the admission-control gate, from the trace's
+            # start until the request lands on its runner queue.  It ends
+            # where the shard's queue_wait starts, so no interval is billed
+            # twice and the stages stay within the root span.
+            trace.record("admission_wait", task.enqueued_at - admitted_at)
         log_event(
             self.event_log,
             "request.admitted",
@@ -424,91 +427,87 @@ class OptimizerService:  # repro-lint: ignore[pickle-safety] never pickled — s
         return True, {"shards": len(self._shards)}
 
     # ------------------------------------------------------------------ #
-    # cache persistence (warm restarts)
+    # warm state: one export path and one merge path for every sink
     # ------------------------------------------------------------------ #
-    def save_caches(self, path, faults=None):
-        """Snapshot every shard's warm sessions (chase caches + memos) to ``path``.
+    def export_sessions(self, markers=None):
+        """Every warm session as a session document — the one export path.
 
-        Returns the number of sessions saved.  The write is crash-safe
-        (:func:`~repro.service.snapshots.write_snapshot`: temp file + fsync +
-        atomic rename, manifest with per-session constraint digests, payload
-        checksum), so it is safe to call from the periodic
+        ``markers=None`` exports each session whole (snapshots and the
+        snapshot store).  Otherwise ``markers`` maps a session's signature
+        to its delta markers: only what it learned since is exported, the
+        markers advance, and sessions with nothing new are skipped (fleet
+        sync).  Entries are copied under their owner's lock, so this is
+        safe under traffic; an entry landing mid-export may ship twice,
+        which merging absorbs.
+        """
+        documents = []
+        for shard in self._shards:
+            for session in shard.sessions():
+                mark = {"caches": {}, "memo": 0}
+                if markers is not None:
+                    mark = markers.setdefault(session.signature, mark)
+                caches, cache_marks = session.registry.export_entries(mark["caches"])
+                memo_mark = session.memo.snapshot()
+                verdicts = session.memo.export_since(mark["memo"])
+                mark["caches"].update(cache_marks)
+                mark["memo"] = memo_mark
+                if markers is not None and not caches and not verdicts:
+                    continue
+                digest = constraints_digest(session.signature)
+                state = Session(session.label, digest, tuple(session.signature), caches, verdicts)
+                documents.append(encode_session(state))
+        return documents
+
+    def _merge(self, session):
+        """The one merge path: install a decoded session; False if stale.
+
+        The digest is *recomputed* from the decoded constraint set; on a
+        mismatch nothing merges, because fixpoints and verdicts are only
+        valid under the exact dependency set they were computed with.
+        Otherwise the session routes like live traffic (so the shard count
+        may differ from the exporter's) and merges idempotently into
+        ``session_for`` under that shard's cache, memo and session bounds,
+        leaving this service's hit/miss counters untouched.
+        """
+        constraints = session.constraints
+        if constraints_digest(constraints) != session.constraints_digest:
+            return False
+        target = self._shards[shard_index(constraints, len(self._shards))].session_for(constraints)
+        target.registry.merge_entries(session.caches)
+        target.memo.merge_exported(session.verdicts)
+        return True
+
+    def save_caches(self, path, faults=None):
+        """Snapshot every shard's warm sessions to ``path``; returns the count.
+
+        The write is crash-safe (:func:`~repro.service.snapshots.
+        write_snapshot`: temp file + fsync + atomic rename, body checksum in
+        the header), so it is safe to call from the periodic
         :class:`~repro.service.snapshots.SnapshotManager` loop while traffic
         is in flight — a concurrent snapshot may merely miss the newest
         entries; it can never leave a torn file.
         """
-        from repro.service.snapshots import write_snapshot
-
         return write_snapshot(
             path,
             self.export_sessions(),
             faults=faults if faults is not None else self.fault_injector,
         )
 
-    def export_sessions(self):
-        """Every shard's warm sessions as snapshot-shaped dicts.
-
-        The same ``{"signature", "label", "registry", "memo"}`` shape
-        :func:`~repro.service.snapshots.write_snapshot` persists — shared by
-        :meth:`save_caches` (one file) and the fleet's
-        :class:`~repro.service.fleet.store.SnapshotStore` (one file per
-        constraint digest).
-        """
-        sessions = []
-        for shard in self._shards:
-            for signature, label, registry, memo in shard.export_sessions():
-                sessions.append(
-                    {"signature": signature, "label": label, "registry": registry, "memo": memo}
-                )
-        return sessions
-
-    def restore_session(self, signature, label, registry, memo):
-        """Install one exported session, routed like live traffic.
-
-        Routing goes through :func:`~repro.service.shard.shard_index` on the
-        structural constraint digest, so restored state lands exactly where
-        admission will send that constraint set's requests.
-        """
-        constraints = list(signature)
-        shard = self._shards[shard_index(constraints, len(self._shards))]
-        shard.restore_session(signature, label, registry, memo)
-
     def load_caches(self, path, faults=None):
-        """Restore a :meth:`save_caches` snapshot into this service's shards.
+        """Merge a :meth:`save_caches` snapshot into this service's shards.
 
-        Each session is re-routed by its constraint-set signature (the same
-        :func:`~repro.service.shard.shard_index` admission uses), so the
-        shard count may differ from the saving process's.  Placement
-        compatibility: ``shard_index`` hashes the structural
-        :func:`~repro.chase.implication.constraints_digest` — the identity
-        the snapshot manifest itself records — so re-routing agrees with
-        staleness: a session the manifest says is fresh lands exactly where
-        admission will route that constraint set's traffic, even across
-        processes (and across fleet backends sharing a snapshot store).
-        Sessions whose
-        constraint-set digest no longer matches the snapshot manifest are
-        *skipped* (stale: their fixpoints were computed under different
-        constraints) and counted in ``stats().stale_sessions``.  Returns the
-        number of sessions restored; raises
-        :class:`~repro.errors.SnapshotError` when the file itself is
-        missing, corrupt, fails its checksum, or has an unsupported version
-        (use :meth:`recover_caches` to degrade to a cold start instead).
+        Every session goes through :meth:`_merge`; one whose recomputed
+        digest disagrees with the file's is skipped as stale and counted in
+        ``stats().stale_sessions``.  Returns the number of sessions
+        restored; raises :class:`~repro.errors.SnapshotError` when the file
+        itself is unusable (use :meth:`recover_caches` to degrade to a cold
+        start instead).
         """
-        from repro.service.snapshots import read_snapshot
-
-        _, entries = read_snapshot(
+        sessions = read_snapshot(
             path, faults=faults if faults is not None else self.fault_injector
         )
-        restored = 0
-        stale = 0
-        for entry, is_stale in entries:
-            if is_stale:
-                stale += 1
-                continue
-            self.restore_session(
-                entry["signature"], entry["label"], entry["registry"], entry["memo"]
-            )
-            restored += 1
+        restored = sum(1 for session in sessions if self._merge(session))
+        stale = len(sessions) - restored
         if stale:
             self._metrics.record_stale_sessions(stale)
         self._metrics.record_snapshot_load(restored)
@@ -521,98 +520,16 @@ class OptimizerService:  # repro-lint: ignore[pickle-safety] never pickled — s
         )
         return restored
 
-    # ------------------------------------------------------------------ #
-    # fleet sync (cross-process cache/memo exchange)
-    # ------------------------------------------------------------------ #
-    def export_sync(self):
-        """Export every warm session's cache/memo *deltas* for a fleet peer.
-
-        Returns a list of wire entries
-        (:func:`~repro.service.protocol.encode_sync_session`): one per
-        session that learned anything since the previous export — new chase
-        fixpoints (per-constraint-set cache entries) and new containment
-        verdicts.  Per-session markers make consecutive calls incremental;
-        an entry landing mid-export is shipped twice, which
-        :meth:`merge_sync` absorbs (merges are idempotent).
-        """
-        from repro.service.protocol import encode_sync_session
-
-        exported = []
-        for shard in self._shards:
-            for signature, label, registry, memo in shard.export_sessions():
-                with self._sync_lock:
-                    markers = self._sync_markers.setdefault(
-                        signature, {"caches": {}, "memo": 0}
-                    )
-                    cache_markers = dict(markers["caches"])
-                    memo_marker = markers["memo"]
-                entries, new_cache_markers = registry.export_entries(cache_markers)
-                new_memo_marker = memo.snapshot()
-                memo_entries = memo.export_since(memo_marker)
-                with self._sync_lock:
-                    markers = self._sync_markers[signature]
-                    markers["caches"].update(new_cache_markers)
-                    markers["memo"] = new_memo_marker
-                if not entries and not memo_entries:
-                    continue
-                exported.append(
-                    encode_sync_session(signature, entries, memo_entries, label=label)
-                )
-        self._metrics.record_sync_export(len(exported))
-        log_event(self.event_log, "sync.exported", sessions=len(exported))
-        return exported
-
-    def merge_sync(self, sessions):
-        """Merge a peer's :meth:`export_sync` payload; returns ``(merged, rejected)``.
-
-        The constraint-digest guard: each entry's structural digest is
-        *recomputed* from the payload's exact constraint set and compared
-        against the advertised one — on mismatch the entry is rejected
-        whole (counted, never partially merged), because exchanged fixpoints
-        and verdicts are only valid under the dependency set they were
-        computed with.  Accepted entries route by the same
-        :func:`~repro.service.shard.shard_index` admission uses, creating
-        the session on first contact, so a scaled-up replica warms catalogs
-        it has never served.
-        """
-        merged = 0
-        rejected = 0
-        for entry in sessions:
-            try:
-                advertised, payload = decode_sync_session(entry)
-            except ValueError:
-                rejected += 1
-                continue
-            signature = payload["signature"]
-            if constraints_digest(signature) != advertised:
-                rejected += 1
-                continue
-            constraints = list(signature)
-            with self._lock:
-                if self._closed:
-                    break
-                shard = self._shards[shard_index(constraints, len(self._shards))]
-            session = shard.session_for(constraints)
-            session.registry.merge_entries(payload.get("caches") or {})
-            session.memo.merge_exported(payload.get("memo") or [])
-            merged += 1
-        self._metrics.record_sync_merge(merged, rejected)
-        log_event(self.event_log, "sync.merged", sessions=merged, rejected=rejected)
-        return merged, rejected
-
     def recover_caches(self, path):
         """Load a snapshot, degrading to a cold start on *any* failure.
 
         The crash-recovery contract of the serving layer: an unusable
-        snapshot (missing, truncated, checksum mismatch, wrong version) must
-        never crash the server at boot and never serve stale state — it
-        costs a recovery (counted in ``stats().recoveries``) and an empty
-        cache, nothing more.  Returns ``(sessions_restored, error)`` where
-        ``error`` is ``None`` on success or the
-        :class:`~repro.errors.SnapshotError` explaining the cold start.
+        snapshot (missing, truncated, checksum mismatch, wrong version, an
+        old pickle snapshot) must never crash the server at boot and never
+        serve stale state — it costs a recovery (counted in
+        ``stats().recoveries``) and an empty cache, nothing more.  Returns
+        ``(sessions_restored, error)``; ``error`` is ``None`` on success.
         """
-        from repro.errors import SnapshotError
-
         try:
             return self.load_caches(path), None
         except SnapshotError as error:
@@ -624,6 +541,40 @@ class OptimizerService:  # repro-lint: ignore[pickle-safety] never pickled — s
                 error=str(error),
             )
             return 0, error
+
+    def export_sync(self):
+        """The ``sync`` export: one document per session that learned
+        anything since the previous call.  The markers live here, so calls
+        are incremental whoever drives them; concurrent calls take turns."""
+        with self._sync_lock:
+            exported = self.export_sessions(self._sync_markers)
+        self._metrics.record_sync_export(len(exported))
+        log_event(self.event_log, "sync.exported", sessions=len(exported))
+        return exported
+
+    def merge_sync(self, documents):
+        """Merge a peer's :meth:`export_sync` documents; returns ``(merged, rejected)``.
+
+        A document that does not decode, or whose recomputed digest
+        disagrees with the advertised one, is rejected whole — counted,
+        never partially merged, never raised.  Accepted documents go
+        through :meth:`_merge`, so a replica warms catalogs it never served.
+        """
+        merged = 0
+        rejected = 0
+        for document in documents:
+            with self._lock:
+                if self._closed:
+                    break
+            try:
+                accepted = self._merge(decode_session(document))
+            except CodecError:
+                accepted = False
+            merged += accepted
+            rejected += not accepted
+        self._metrics.record_sync_merge(merged, rejected)
+        log_event(self.event_log, "sync.merged", sessions=merged, rejected=rejected)
+        return merged, rejected
 
     def shutdown(self, wait=True):
         """Drain every shard and release the pools (idempotent)."""

@@ -119,7 +119,7 @@ class _RunnerTask:
         self.enqueued_at = time.perf_counter()
 
 
-class Shard:  # repro-lint: ignore[pickle-safety] never pickled — snapshots export session state (export_sessions), not shard objects
+class Shard:  # repro-lint: ignore[pickle-safety] never pickled — the session codec exports session state, not shard objects
     """One shard: supervised runner threads + worker pool + warm sessions.
 
     Locking invariant (checked mechanically by ``repro-lint``'s
@@ -252,39 +252,10 @@ class Shard:  # repro-lint: ignore[pickle-safety] never pickled — snapshots ex
                 self._sessions.move_to_end(signature)
             return session
 
-    def export_sessions(self):
-        """Snapshot every warm session's persistent state (for save_caches).
-
-        Returns ``[(signature, label, registry, memo), ...]``; the signature
-        *is* the constraint set (a frozenset of dependencies), so a loader
-        can re-route each entry without extra bookkeeping.
-        """
+    def sessions(self):
+        """Every warm session, least recently used first (the export source)."""
         with self._lock:
-            return [
-                (session.signature, session.label, session.registry, session.memo)
-                for session in self._sessions.values()
-            ]
-
-    def restore_session(self, signature, label, registry, memo):
-        """Install a previously exported session (idempotent per signature).
-
-        Loaded state replaces any existing session for the signature — the
-        loader runs at startup, before traffic, so nothing is in flight.
-        LRU bounds of this shard are re-applied to the loaded structures and
-        their accounting is zeroed: the restored process's stats (and the
-        warm-restart benchmark) describe *this* life, not the saving one's.
-        """
-        registry.set_max_entries(self.max_cache_entries)
-        registry.reset_counters()
-        memo.max_entries = self.max_memo_entries
-        memo.reset_counters()
-        with self._lock:
-            self._sessions[signature] = ShardSession(
-                label=label, signature=signature, registry=registry, memo=memo
-            )
-            while self.max_sessions is not None and len(self._sessions) > self.max_sessions:
-                self._sessions.popitem(last=False)
-                self._sessions_evicted += 1
+            return list(self._sessions.values())
 
     # ------------------------------------------------------------------ #
     # runner pool + supervision

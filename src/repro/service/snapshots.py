@@ -1,24 +1,24 @@
-"""Crash-safe cache snapshots: atomic writes, manifests, staleness rules.
+"""Crash-safe cache snapshots: atomic writes, a checked header, stale skips.
 
-PR 5's cache persistence wrote a bare pickle at graceful drain — a
-``kill -9`` lost every warm cache, a truncated file crashed the next boot,
-and nothing detected a snapshot whose constraint sets no longer matched the
-state inside it.  This module is the hardened replacement:
+A snapshot file holds warm sessions as data, never code: a one-line JSON
+header, then one :mod:`~repro.service.codec` session document per line::
+
+    {"format": "repro-snapshot", "version": 3, "body_sha256": "<hex>"}
+    <session document>
+    ...
 
 * **Atomic writes.**  :func:`write_snapshot` writes to a temp file in the
   snapshot's directory, flushes + fsyncs, then ``os.replace``\\ s it over the
   target: a crash mid-write leaves the previous snapshot intact, never a
   torn file.
-* **Manifest + checksum.**  The envelope carries a version, a creation
-  timestamp, one manifest entry per session (label + a structural digest of
-  its constraint set) and a SHA-256 over the pickled payload.  A flipped
-  bit, a truncation, or a future format all fail *detectably*.
-* **Staleness invalidation.**  At load time every session's constraint-set
-  digest is recomputed from the payload and compared against the manifest:
-  state whose constraints changed since the snapshot was taken is skipped
-  (cold start for that catalog), never served stale — the incremental-
-  maintenance rule (state untouched by a constraint delta survives,
-  everything else is invalidated) applied at snapshot granularity.
+* **Checked before parsed.**  :func:`read_snapshot` checks the header and
+  the body's SHA-256 on the raw bytes before the body is parsed, then
+  decodes it only through :func:`~repro.service.codec.decode_session`.  A
+  flipped bit, a truncation, a future format, or a file that is not a
+  snapshot at all (an old pickle snapshot included) fails *detectably*.
+* **Staleness invalidation.**  The loader's merge recomputes each
+  session's constraint digest and skips one that disagrees with the digest
+  recorded in its document (cold start for that catalog).
 * **Degrade, never crash.**  Every failure mode raises a typed
   :class:`~repro.errors.SnapshotError`; loaders
   (:meth:`~repro.service.service.OptimizerService.recover_caches`, the CLI)
@@ -32,39 +32,31 @@ state inside it.  This module is the hardened replacement:
 from __future__ import annotations
 
 import hashlib
+import json
 import os
-import pickle
 import signal
 import tempfile
 import threading
-import time
 
-from repro.chase.implication import constraints_digest
 from repro.errors import InjectedFault, SnapshotError
+from repro.service.codec import decode_session
 from repro.service.faults import maybe_fail
 from repro.service.observability.events import log_event
 
-#: Current envelope version.  Version 1 is the PR 5 bare-pickle format
-#: (``{"version": 1, "sessions": [...]}``), still readable (no checksum or
-#: staleness metadata to verify); version 2 adds the manifest + checksum.
-SNAPSHOT_VERSION = 2
+#: Current file version.  Versions 1 and 2 were pickle files; they now read
+#: as corrupt, so an old snapshot costs one counted cold start.
+SNAPSHOT_VERSION = 3
 
 _FORMAT = "repro-snapshot"
 
-# ``constraints_digest`` used to live here; it is now the shared structural
-# identity in :mod:`repro.chase.implication` (shard placement, the fleet
-# router's ring, the sync guard and these manifests all hash the same way).
-# Re-exported below for backwards compatibility.
 
+def write_snapshot(path, documents, faults=None):
+    """Atomically write session ``documents`` to ``path``; returns their count.
 
-def write_snapshot(path, sessions, faults=None):
-    """Atomically write ``sessions`` (list of session dicts) to ``path``.
-
-    Each session dict carries ``signature`` (the frozenset of dependencies),
-    ``label``, ``registry`` and ``memo`` — the shape
-    :meth:`~repro.service.shard.Shard.export_sessions` produces.  Returns the
-    number of sessions written.  Raises :class:`SnapshotError` on IO failure
-    (the previous snapshot, if any, is left untouched).
+    ``documents`` are :func:`~repro.service.codec.encode_session` outputs
+    (what :meth:`~repro.service.service.OptimizerService.export_sessions`
+    returns).  Raises :class:`SnapshotError` on IO failure (the previous
+    snapshot, if any, is left untouched).
     """
     path = os.fspath(path)
     try:
@@ -75,29 +67,15 @@ def write_snapshot(path, sessions, faults=None):
         raise SnapshotError(
             f"cannot write snapshot {path!r}: {error}", path=path, reason="io"
         ) from error
-    try:
-        payload = pickle.dumps({"version": 1, "sessions": sessions})
-    except Exception as error:
-        # Sessions are pickled live while the service keeps serving; any
-        # serialization failure (including a concurrent-mutation race) must
-        # degrade to a typed, counted failed snapshot — the periodic loop
-        # retries on the next interval — never crash the snapshot thread.
-        raise SnapshotError(
-            f"cannot serialize snapshot {path!r}: {error}", path=path, reason="serialize"
-        ) from error
-    manifest = {
+    body = b"".join(
+        json.dumps(document, separators=(",", ":")).encode("utf-8") + b"\n"
+        for document in documents
+    )
+    header = {
+        "format": _FORMAT,
         "version": SNAPSHOT_VERSION,
-        "created_at": time.time(),
-        "sessions": [
-            {
-                "label": entry["label"],
-                "constraints_digest": constraints_digest(entry["signature"]),
-            }
-            for entry in sessions
-        ],
-        "payload_sha256": hashlib.sha256(payload).hexdigest(),
+        "body_sha256": hashlib.sha256(body).hexdigest(),
     }
-    envelope = {"format": _FORMAT, "version": SNAPSHOT_VERSION, "manifest": manifest, "payload": payload}
     directory = os.path.dirname(path) or "."
     try:
         handle = tempfile.NamedTemporaryFile(
@@ -105,7 +83,8 @@ def write_snapshot(path, sessions, faults=None):
         )
         try:
             with handle:
-                pickle.dump(envelope, handle)
+                handle.write(json.dumps(header).encode("utf-8") + b"\n")
+                handle.write(body)
                 handle.flush()
                 os.fsync(handle.fileno())
             os.replace(handle.name, path)
@@ -119,22 +98,16 @@ def write_snapshot(path, sessions, faults=None):
         raise SnapshotError(
             f"cannot write snapshot {path!r}: {error}", path=path, reason="io"
         ) from error
-    return len(sessions)
+    return len(documents)
 
 
 def read_snapshot(path, faults=None):
-    """Read and validate a snapshot; returns ``(manifest, session entries)``.
-
-    Each returned entry is ``(session_dict, stale)`` where ``stale`` is True
-    when the session's recomputed constraint digest no longer matches the
-    manifest (the caller must skip it — its fixpoints and verdicts were
-    computed under different constraints).  Raises :class:`SnapshotError`
-    for every file-level failure: missing, unreadable, truncated,
-    checksum mismatch, unsupported version.
-
-    Legacy (PR 5, version 1) bare-pickle snapshots load with a synthesized
-    manifest: they carry no checksum or digests to verify, so their sessions
-    are all treated as fresh.
+    """Read, verify and decode a snapshot into its :class:`~repro.service.
+    codec.Session` list (digests as recorded; the loader's merge checks
+    them).  Raises :class:`SnapshotError` for every file-level failure:
+    missing, unreadable, not a snapshot or a document that does not decode
+    (``"corrupt"``), truncated or altered (``"checksum"``), or an
+    unsupported version.
     """
     path = os.fspath(path)
     try:
@@ -147,30 +120,21 @@ def read_snapshot(path, faults=None):
         raise SnapshotError(f"snapshot {path!r} does not exist", path=path, reason="missing")
     try:
         with open(path, "rb") as handle:
-            envelope = pickle.load(handle)
+            data = handle.read()
     except OSError as error:
         raise SnapshotError(
             f"cannot read snapshot {path!r}: {error}", path=path, reason="io"
         ) from error
-    except Exception as error:  # truncated / garbage / not a pickle at all
+    header_line, newline, body = data.partition(b"\n")
+    try:
+        header = json.loads(header_line)
+    except (ValueError, RecursionError):
+        header = None
+    if not newline or not isinstance(header, dict) or header.get("format") != _FORMAT:
         raise SnapshotError(
-            f"snapshot {path!r} is corrupt: {error}", path=path, reason="corrupt"
-        ) from error
-    if not isinstance(envelope, dict):
-        raise SnapshotError(
-            f"snapshot {path!r} is corrupt: not a snapshot envelope", path=path, reason="corrupt"
+            f"snapshot {path!r} is corrupt: no snapshot header", path=path, reason="corrupt"
         )
-
-    if envelope.get("format") != _FORMAT:
-        # Legacy bare-pickle layout from PR 5: {"version": 1, "sessions": [...]}.
-        if envelope.get("version") == 1 and isinstance(envelope.get("sessions"), list):
-            manifest = {"version": 1, "created_at": None, "sessions": [], "payload_sha256": None}
-            return manifest, [(entry, False) for entry in envelope["sessions"]]
-        raise SnapshotError(
-            f"snapshot {path!r} is corrupt: unrecognised layout", path=path, reason="corrupt"
-        )
-
-    version = envelope.get("version")
+    version = header.get("version")
     if version != SNAPSHOT_VERSION:
         raise SnapshotError(
             f"snapshot {path!r} has unsupported version {version!r} "
@@ -178,42 +142,23 @@ def read_snapshot(path, faults=None):
             path=path,
             reason="version",
         )
-    manifest = envelope.get("manifest") or {}
-    payload = envelope.get("payload")
-    if not isinstance(payload, bytes):
+    digest = hashlib.sha256(body).hexdigest()
+    if digest != header.get("body_sha256"):
         raise SnapshotError(
-            f"snapshot {path!r} is corrupt: missing payload", path=path, reason="corrupt"
-        )
-    digest = hashlib.sha256(payload).hexdigest()
-    if digest != manifest.get("payload_sha256"):
-        raise SnapshotError(
-            f"snapshot {path!r} failed its payload checksum "
-            f"(manifest {manifest.get('payload_sha256')!r}, actual {digest!r})",
+            f"snapshot {path!r} failed its body checksum "
+            f"(header {header.get('body_sha256')!r}, actual {digest!r})",
             path=path,
             reason="checksum",
         )
     try:
-        body = pickle.loads(payload)
-        sessions = body["sessions"]
-    except Exception as error:
+        return [decode_session(json.loads(line)) for line in body.splitlines()]
+    except (ValueError, RecursionError) as error:  # CodecError is a ValueError
         raise SnapshotError(
-            f"snapshot {path!r} payload is corrupt: {error}", path=path, reason="corrupt"
+            f"snapshot {path!r} body is corrupt: {error}", path=path, reason="corrupt"
         ) from error
 
-    manifest_sessions = manifest.get("sessions") or []
-    entries = []
-    for index, entry in enumerate(sessions):
-        recorded = (
-            manifest_sessions[index].get("constraints_digest")
-            if index < len(manifest_sessions)
-            else None
-        )
-        stale = recorded != constraints_digest(entry["signature"])
-        entries.append((entry, stale))
-    return manifest, entries
 
-
-class SnapshotManager:  # repro-lint: ignore[pickle-safety] never pickled — it *writes* snapshots; the payload is session state, not the manager
+class SnapshotManager:  # repro-lint: ignore[pickle-safety] never pickled — it *writes* snapshots of session state, not of itself
     """Periodic + signal-triggered snapshotting for a running service.
 
     Wraps :meth:`OptimizerService.save_caches` in a background loop so a
@@ -226,10 +171,10 @@ class SnapshotManager:  # repro-lint: ignore[pickle-safety] never pickled — it
     entered from three threads at once — the periodic loop, the SIGUSR1
     trigger's synchronous fallback, and :meth:`stop`'s final save — so both
     the write itself *and* the outcome counters are taken under ``_lock``;
-    and every pickled container must be copied under the lock of the object
-    that owns it (``ChaseCache.__getstate__`` etc.), which is what keeps a
-    snapshot taken mid-traffic from dying with "OrderedDict mutated during
-    iteration" (the PR 6 bug the pickle-safety rule now guards).
+    and the export copies every cache, memo and restriction table under its
+    owner's lock or with one ``dict()`` call before encoding it, which is
+    what keeps a snapshot taken mid-traffic from dying with "OrderedDict
+    mutated during iteration" (a bug that once killed the loop).
 
     Usage::
 
@@ -367,10 +312,4 @@ class SnapshotManager:  # repro-lint: ignore[pickle-safety] never pickled — it
             }
 
 
-__all__ = [
-    "SNAPSHOT_VERSION",
-    "SnapshotManager",
-    "constraints_digest",
-    "read_snapshot",
-    "write_snapshot",
-]
+__all__ = ["SNAPSHOT_VERSION", "SnapshotManager", "read_snapshot", "write_snapshot"]

@@ -12,7 +12,7 @@ import json
 import socket
 import threading
 
-from repro.chase.implication import ChaseCache, ChaseCacheRegistry
+from repro.chase.implication import ChaseCache
 from repro.cli import _StreamEmitter
 from repro.cq.memo import ContainmentMemo
 from repro.errors import SnapshotError
@@ -127,16 +127,6 @@ class TestChaseCacheAccounting:
             mutator.join(timeout=30.0)
         merged.merge(donor)
         assert len(merged) == len(donor)
-
-    def test_registry_set_max_entries_rebounds_existing_caches(self):
-        registry = ChaseCacheRegistry(max_entries=None)
-        cache = registry.for_constraints([])
-        assert cache.max_entries is None
-        registry.set_max_entries(5)
-        assert registry.max_entries == 5
-        assert cache.max_entries == 5
-        # Caches created after the rebound inherit it too.
-        assert registry.for_constraints([]) is cache
 
 
 class TestContainmentMemoAccounting:

@@ -23,8 +23,9 @@ deterministic :class:`~repro.service.faults.FaultInjector`:
   warm; a corrupted snapshot still boots (exit 0) with ``recoveries == 1``.
 """
 
+import hashlib
+import json
 import os
-import pickle
 import signal
 import socket
 import subprocess
@@ -425,6 +426,16 @@ def _save_warm_snapshot(path):
     return plan_digest(response.result.plans)
 
 
+def _split_snapshot(path):
+    """A snapshot file's parsed header line and its raw body bytes."""
+    header, _, body = path.read_bytes().partition(b"\n")
+    return json.loads(header), body
+
+
+def _write_snapshot_parts(path, header, body):
+    path.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + body)
+
+
 class TestSnapshotRobustness:
     def test_corrupt_snapshot_degrades_to_counted_cold_start(self, tmp_path):
         path = tmp_path / "warm.snap"
@@ -456,11 +467,10 @@ class TestSnapshotRobustness:
     def test_checksum_catches_a_flipped_payload_bit(self, tmp_path):
         path = tmp_path / "warm.snap"
         _save_warm_snapshot(path)
-        envelope = pickle.loads(path.read_bytes())
-        payload = bytearray(envelope["payload"])
-        payload[len(payload) // 2] ^= 0xFF
-        envelope["payload"] = bytes(payload)
-        path.write_bytes(pickle.dumps(envelope))
+        data = bytearray(path.read_bytes())
+        body_start = data.index(b"\n") + 1
+        data[body_start + (len(data) - body_start) // 2] ^= 0xFF
+        path.write_bytes(bytes(data))
         with pytest.raises(SnapshotError) as excinfo:
             read_snapshot(path)
         assert excinfo.value.reason == "checksum"
@@ -468,9 +478,9 @@ class TestSnapshotRobustness:
     def test_unsupported_version_is_typed(self, tmp_path):
         path = tmp_path / "warm.snap"
         _save_warm_snapshot(path)
-        envelope = pickle.loads(path.read_bytes())
-        envelope["version"] = 99
-        path.write_bytes(pickle.dumps(envelope))
+        header, body = _split_snapshot(path)
+        header["version"] = 99
+        _write_snapshot_parts(path, header, body)
         with pytest.raises(SnapshotError) as excinfo:
             read_snapshot(path)
         assert excinfo.value.reason == "version"
@@ -480,12 +490,14 @@ class TestSnapshotRobustness:
         must cold-start, never serve fixpoints computed under old rules."""
         path = tmp_path / "warm.snap"
         _save_warm_snapshot(path)
-        envelope = pickle.loads(path.read_bytes())
-        envelope["manifest"]["sessions"][0]["constraints_digest"] = "0" * 64
-        path.write_bytes(pickle.dumps(envelope))
+        header, body = _split_snapshot(path)
+        document = json.loads(body)
+        document["constraints_digest"] = "0" * 64
+        body = json.dumps(document).encode("utf-8") + b"\n"
+        header["body_sha256"] = hashlib.sha256(body).hexdigest()  # re-signed
+        _write_snapshot_parts(path, header, body)
         # File-level validation still passes; the session itself is stale.
-        _, entries = read_snapshot(path)
-        assert [stale for _, stale in entries] == [True]
+        assert len(read_snapshot(path)) == 1
         with OptimizerService(shards=1, workers=1) as service:
             restored, error = service.recover_caches(path)
             assert (restored, error) == (0, None)
@@ -509,31 +521,6 @@ class TestSnapshotRobustness:
         assert path.read_bytes() == before  # atomic: old snapshot untouched
         assert not list(tmp_path.glob("*.tmp-*"))  # no litter either
 
-    def test_legacy_v1_snapshot_still_loads(self, tmp_path):
-        """PR 5 bare-pickle snapshots (no manifest) remain readable."""
-        path = tmp_path / "warm.snap"
-        workload = build_ec2(1, 3, 1)
-        with OptimizerService(shards=1, workers=1) as saving:
-            saving.submit(workload.query, catalog=workload.catalog).result(
-                timeout=JOIN_TIMEOUT
-            ).raise_for_error()
-            sessions = []
-            for shard in saving._shards:
-                for signature, label, registry, memo in shard.export_sessions():
-                    sessions.append(
-                        {"signature": signature, "label": label,
-                         "registry": registry, "memo": memo}
-                    )
-        path.write_bytes(pickle.dumps({"version": 1, "sessions": sessions}))
-        with OptimizerService(shards=1, workers=1) as restarted:
-            assert restarted.load_caches(path) == 1
-            response = restarted.submit(
-                workload.query, catalog=workload.catalog
-            ).result(timeout=JOIN_TIMEOUT)
-            assert response.ok
-            stats = restarted.stats()
-        assert stats.cache_misses == 0  # served warm from the legacy snapshot
-
 
 class TestSnapshotManager:
     def _warm_service(self):
@@ -554,8 +541,7 @@ class TestSnapshotManager:
                 time.sleep(0.01)
             manager.stop(final_save=False)
             assert manager.snapshots_written >= 1
-            _, entries = read_snapshot(path)
-            assert len(entries) == 1
+            assert len(read_snapshot(path)) == 1
         finally:
             service.shutdown()
 
@@ -587,11 +573,12 @@ class TestSnapshotManager:
             service.shutdown()
 
     def test_snapshots_while_serving_never_fail_or_tear(self, tmp_path):
-        # Regression: sessions are pickled live while runners keep inserting
-        # into the caches.  Before the locked-copy __getstate__ fixes, the
-        # pickle walk raised "OrderedDict mutated during iteration" — an
-        # exception SnapshotManager.save() did not catch, so the periodic
-        # loop thread died silently and no snapshot was ever taken again.
+        # Regression: sessions are exported live while runners keep
+        # inserting into the caches.  A walk over a live OrderedDict raises
+        # "OrderedDict mutated during iteration" — an exception
+        # SnapshotManager.save() does not catch, so the periodic loop thread
+        # would die silently; the export copies every table under its
+        # owner's lock (or with one dict() call) first.
         path = tmp_path / "warm.snap"
         mixes = [build_ec1(2, 1), build_ec2(1, 3, 1), build_ec1(3, 0)]
         with OptimizerService(shards=1, workers=2, max_inflight=4) as service:

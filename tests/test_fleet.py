@@ -476,11 +476,11 @@ class TestSyncExchange:
             ).result().raise_for_error()
             exported = source.export_sync()
         assert exported  # the warm session produced deltas
-        tampered = [dict(entry, digest="0" * 64) for entry in exported]
+        tampered = [dict(entry, constraints_digest="0" * 64) for entry in exported]
         with OptimizerService(shards=1) as target:
             merged, rejected = target.merge_sync(tampered)
             assert (merged, rejected) == (0, len(tampered))
-            # Malformed payloads are rejected the same way, not raised.
+            # Malformed entries are rejected the same way, not raised.
             merged, rejected = target.merge_sync([{"digest": "x", "data": "!!"}])
             assert (merged, rejected) == (0, 1)
             # The untampered export merges cleanly into the same service.

@@ -434,7 +434,7 @@ class TestEventLog:
 
     def test_snapshot_events(self, tmp_path):
         events_path = tmp_path / "events.jsonl"
-        snapshot_path = tmp_path / "caches.pkl"
+        snapshot_path = tmp_path / "caches.snap"
         with EventLog(path=str(events_path)) as log:
             with OptimizerService(shards=1, workers=1, event_log=log) as service:
                 _submit_one(service)
@@ -453,7 +453,7 @@ class TestEventLog:
 class TestStatsSatellites:
     def test_sessions_restored_is_tracked_and_exported(self, tmp_path):
         """record_snapshot_load used to drop its ``sessions`` argument."""
-        snapshot_path = tmp_path / "caches.pkl"
+        snapshot_path = tmp_path / "caches.snap"
         with OptimizerService(shards=1, workers=1) as service:
             _submit_one(service)
             service.save_caches(str(snapshot_path))

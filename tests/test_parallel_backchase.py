@@ -220,15 +220,6 @@ class TestChaseCacheMerging:
             fresh.chase(subquery)
             assert fresh.misses == before  # served from the merged entries
 
-    def test_cache_is_picklable(self):
-        import pickle
-
-        workload = build_ec2(1, 3, 1)
-        cache = self._cache_with_entries(workload)
-        clone = pickle.loads(pickle.dumps(cache))
-        assert len(clone) == len(cache)
-        assert clone.hits == cache.hits
-
     def test_merge_does_not_overwrite(self):
         query = PCQuery.parse("select struct(A: r.A) from R r").validate()
         left = ChaseCache([])

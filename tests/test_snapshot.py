@@ -1,131 +1,181 @@
-"""Cache persistence: registry/service snapshots and warm restarts.
+"""Cache persistence: the session codec, service snapshots, warm restarts.
 
 Covers the persistence layer the serving mode's ``--snapshot`` flag drives:
 
-* :meth:`ChaseCacheRegistry.save` / :meth:`ChaseCacheRegistry.load` — the
-  low-level pickle round-trip (entries survive, bounds can be re-imposed);
+* :mod:`repro.service.codec` — every chase-cache entry, containment
+  verdict and restriction table of a live session survives encode + decode
+  exactly;
 * :meth:`OptimizerService.save_caches` / :meth:`load_caches` — whole warm
-  sessions (chase caches + containment memos + the restriction tables
-  riding on pickled universal plans) re-routed by constraint signature,
-  also across a *different* shard count;
+  sessions re-routed by constraint digest, also across a *different* shard
+  count, and merged under the loading service's LRU bounds;
 * restart semantics — a loaded service serves entirely from warm state
-  (hit rates 1.0, counters zeroed to the new life) and produces plan sets
-  identical to the saving life's.
+  (hit rates 1.0, counters describing only the new life) and produces plan
+  sets identical to the saving life's.
 """
 
-import pickle
+import json
 
-from repro.chase.implication import ChaseCacheRegistry
+from repro.chase.implication import ChaseCacheRegistry, constraints_digest
 from repro.cq.memo import ContainmentMemo
 from repro.service import OptimizerService
+from repro.service.codec import Session, decode_session, encode_session
 from repro.service.protocol import plan_digest
 from repro.service.snapshots import read_snapshot
 from repro.workloads import build_ec1, build_ec2
 
+MIX = [
+    (build_ec2(1, 3, 1), "fb"),
+    (build_ec2(1, 3, 2), "oqf"),
+    (build_ec1(2, 1), "ocs"),
+]
+
+
+def _run(service, rounds=2):
+    """Serve the mix ``rounds`` times (two rounds: warm in-life too)."""
+    digests = []
+    for workload, strategy in MIX * rounds:
+        response = service.submit(
+            workload.query, strategy=strategy, catalog=workload.catalog
+        ).result()
+        response.raise_for_error()
+        digests.append(plan_digest(response.result.plans))
+    return digests
+
+
+def _restrictions(query):
+    return query.__dict__.get("_restrictions") or {}
+
+
+def _live_sessions(service):
+    return [session for shard in service._shards for session in shard.sessions()]
+
+
+def _codec_round_trip(constraints, caches=(), verdicts=()):
+    """Encode, serialise, parse and decode one session's state."""
+    constraints = tuple(constraints)
+    state = Session("test", constraints_digest(constraints), constraints, caches, verdicts)
+    return decode_session(json.loads(json.dumps(encode_session(state))))
+
 
 class TestRegistrySnapshot:
-    def test_save_load_round_trip(self, tmp_path):
+    def test_save_load_round_trip(self):
+        """A registry's entries survive the codec and answer without re-chasing."""
         workload = build_ec2(1, 3, 1)
         constraints = workload.catalog.constraints()
         registry = ChaseCacheRegistry()
         cache = registry.for_constraints(constraints)
         chased = cache.chase(workload.query)
-        path = tmp_path / "registry.pkl"
-        registry.save(path)
+        exported, _ = registry.export_entries()
 
-        loaded = ChaseCacheRegistry.load(path)
+        loaded = ChaseCacheRegistry()
+        loaded.merge_entries(_codec_round_trip(constraints, caches=exported).caches)
         assert len(loaded) == 1
         warm = loaded.for_constraints(constraints)
         assert len(warm) == len(cache)
         # The loaded fixpoint answers without re-chasing.
         result = warm.chase_result(workload.query)
         assert result.query == chased
-        assert warm.hits == cache.hits + 1
+        assert (warm.hits, warm.misses) == (1, 0)
 
     def test_load_reimposes_bound(self, tmp_path):
-        workload = build_ec2(1, 3, 1)
-        constraints = workload.catalog.constraints()
-        registry = ChaseCacheRegistry()  # unbounded while saving
-        cache = registry.for_constraints(constraints)
-        cache.chase(workload.query)
-        path = tmp_path / "registry.pkl"
-        registry.save(path)
-
-        bounded = ChaseCacheRegistry.load(path, max_entries=1)
-        assert bounded.max_entries == 1
-        assert bounded.for_constraints(constraints).max_entries == 1
+        """State saved unbounded loads under the loading service's bound."""
+        path = tmp_path / "sessions.snap"
+        with OptimizerService(shards=1, workers=1) as saving:  # unbounded
+            _run(saving, rounds=1)
+            saving.save_caches(path)
+        with OptimizerService(shards=1, workers=1, max_cache_entries=1) as bounded:
+            assert bounded.load_caches(path) == len(MIX)
+            caches = [
+                entries
+                for session in _live_sessions(bounded)
+                for _, entries in session.registry.export_entries()[0]
+            ]
+        assert caches
+        assert all(len(entries) <= 1 for entries in caches)
 
     def test_memo_pickle_round_trip(self):
+        """Memo verdicts round-trip through the data-only codec (no pickle)."""
         first = build_ec2(1, 3, 1).query
         second = build_ec1(2, 1).query
         memo = ContainmentMemo(max_entries=8)
         expected = memo.check(first, first), memo.check(second, first)
-        clone = pickle.loads(pickle.dumps(memo))
+        decoded = _codec_round_trip((), verdicts=memo.export_since(0))
+        clone = ContainmentMemo(max_entries=8)
+        clone.merge_exported(decoded.verdicts)
         assert clone.lookup(first, first) == expected[0]
         assert clone.lookup(second, first) == expected[1]
         assert len(clone) == len(memo)
 
 
+class TestSessionCodec:
+    def test_round_trip_preserves_entries_verdicts_and_restrictions(self):
+        with OptimizerService(shards=1, workers=1) as service:
+            _run(service, rounds=1)
+            documents = service.export_sessions()
+            live = _live_sessions(service)
+        assert len(documents) == len(live) == len(MIX)
+        tables = 0
+        for document, session in zip(documents, live):
+            decoded = decode_session(json.loads(json.dumps(document)))
+            assert decoded.label == session.label
+            assert frozenset(decoded.constraints) == session.signature
+            caches, _ = session.registry.export_entries()
+            assert len(decoded.caches) == len(caches)
+            for (dependencies, entries), (twin_dependencies, twin_entries) in zip(
+                caches, decoded.caches
+            ):
+                assert list(twin_dependencies) == list(dependencies)
+                assert list(twin_entries.items()) == list(entries.items())
+                for fixpoint, twin in zip(entries.values(), twin_entries.values()):
+                    assert str(twin) == str(fixpoint)
+                    assert _restrictions(twin) == _restrictions(fixpoint)
+                    tables += len(_restrictions(fixpoint))
+            assert list(decoded.verdicts) == session.memo.export_since(0)
+        assert tables > 0  # the backchase's restrictions were encoded
+
+
 class TestServiceSnapshot:
-    MIX = [
-        (build_ec2(1, 3, 1), "fb"),
-        (build_ec2(1, 3, 2), "oqf"),
-        (build_ec1(2, 1), "ocs"),
-    ]
-
-    def _run(self, service):
-        digests = []
-        for workload, strategy in self.MIX * 2:  # two rounds: warm in-life too
-            response = service.submit(
-                workload.query, strategy=strategy, catalog=workload.catalog
-            ).result()
-            response.raise_for_error()
-            digests.append(plan_digest(response.result.plans))
-        return digests
-
     def test_restarted_service_is_fully_warm_and_identical(self, tmp_path):
-        path = tmp_path / "sessions.pkl"
+        path = tmp_path / "sessions.snap"
         with OptimizerService(shards=2, workers=1) as saving:
-            reference = self._run(saving)
+            reference = _run(saving)
             saved = saving.save_caches(path)
-        assert saved == len(self.MIX)  # one session per distinct catalog
+        assert saved == len(MIX)  # one session per distinct catalog
 
         with OptimizerService(shards=2, workers=1) as restarted:
             assert restarted.load_caches(path) == saved
-            assert self._run(restarted) == reference
+            assert _run(restarted) == reference
             stats = restarted.stats()
         # The new life serves entirely from persisted state, and its
-        # counters describe only this life (zeroed on load).
+        # counters describe only this life (merging transfers no counts).
         assert stats.cache_misses == 0
         assert stats.memo_misses == 0
         assert stats.cache_hits > 0
         assert stats.memo_hits > 0
 
     def test_snapshot_reroutes_across_different_shard_count(self, tmp_path):
-        path = tmp_path / "sessions.pkl"
+        path = tmp_path / "sessions.snap"
         with OptimizerService(shards=3, workers=1) as saving:
-            reference = self._run(saving)
+            reference = _run(saving)
             saving.save_caches(path)
 
         with OptimizerService(shards=1, workers=1) as restarted:
             restarted.load_caches(path)
-            assert self._run(restarted) == reference
+            assert _run(restarted) == reference
             stats = restarted.stats()
         assert stats.cache_misses == 0
 
     def test_restrictions_travel_with_the_snapshot(self, tmp_path):
-        """The pickled universal plans carry their restriction memo tables."""
-        path = tmp_path / "sessions.pkl"
+        """The snapshot carries each fixpoint's restriction table."""
+        path = tmp_path / "sessions.snap"
         workload = build_ec2(1, 3, 1)
         with OptimizerService(shards=1, workers=1) as saving:
             saving.submit(workload.query, catalog=workload.catalog).result().raise_for_error()
             saving.save_caches(path)
 
-        _, entries = read_snapshot(path)
         tables = 0
-        for entry, stale in entries:
-            assert not stale
-            for cache in entry["registry"]._caches.values():
-                for fixpoint in cache._cache.values():
-                    tables += len(fixpoint.__dict__.get("_restrictions") or ())
+        for session in read_snapshot(path):
+            for _, entries in session.caches:
+                for fixpoint in entries.values():
+                    tables += len(_restrictions(fixpoint))
         assert tables > 0  # the backchase's restrictions were persisted
