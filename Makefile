@@ -14,9 +14,9 @@
 # obs-check subcommand; `make fleet-smoke` routes the workload through the
 # consistent-hash fleet router in front of two backends, kills one backend
 # with SIGKILL, and asserts the retrying client still passes --check via
-# failover; `make perf-smoke` runs perfbench's service workloads and a traced
-# run through the benchmark's own checks; `make tier1` is the full suite CI
-# runs.
+# failover; `make perf-smoke` runs perfbench's service workloads, a traced
+# run and a cold pass over every pair through the benchmark's own checks;
+# `make tier1` is the full suite CI runs.
 
 PYTHON ?= python
 PYTHONPATH := src
@@ -198,11 +198,13 @@ fleet-smoke:
 # Perf smoke test: perfbench/run.py drives the service in process
 # (warm-service) and over a socket (churn-socket) for 5 s each, then a traced
 # warm-optimize run, whose span wrappers fail if a program name that
-# perfbench/spans.py wraps is gone.  run.py checks every response against
-# perfbench/reference.json but exits 0 even when a check fails, so each run's
-# last output line must read "correct": true and "failed": 0.
+# perfbench/spans.py wraps is gone, then cold-optimize, whose every part runs
+# at least one whole pass, so all 41 EC1-EC3 x strategy pairs are checked.
+# run.py checks every response against perfbench/reference.json but exits 0
+# even when a check fails, so each run's last output line must read
+# "correct": true and "failed": 0.
 perf-smoke:
-	@for run in "warm-service --trace 0" "churn-socket --trace 0" "warm-optimize --trace 1"; do \
+	@for run in "warm-service --trace 0" "churn-socket --trace 0" "warm-optimize --trace 1" "cold-optimize --trace 0"; do \
 		echo "perf-smoke: $$run"; \
 		out=$$($(PYTHON) perfbench/run.py --workload $$run --seed 1 --seconds 5) \
 			|| { echo "perf-smoke: $$run exited non-zero"; exit 1; }; \

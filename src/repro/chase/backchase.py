@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from repro.errors import ChaseTimeout
@@ -573,6 +573,10 @@ class ProcessExecutor:
         # ``memo`` is accepted for protocol uniformity but not shipped to the
         # workers: each keeps a worker-local memo (like its worker-local
         # cache) — verdicts are cheap to recompute and never merged back.
+        # Imported here, not at module level, so that importing the engine
+        # does not load ``multiprocessing`` into every process.
+        from concurrent.futures import ProcessPoolExecutor
+
         self._pool = ProcessPoolExecutor(
             max_workers=self.workers, initializer=_init_process_worker, initargs=(context,)
         )
@@ -587,6 +591,8 @@ class ProcessExecutor:
 
     def map(self, fn, payloads):
         if self._map_pool is None:
+            from concurrent.futures import ProcessPoolExecutor
+
             self._map_pool = ProcessPoolExecutor(max_workers=self.workers)
         return list(self._map_pool.map(fn, payloads))
 

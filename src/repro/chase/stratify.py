@@ -22,6 +22,7 @@ assembly; the strategy drivers live in :mod:`repro.chase.optimizer`.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 from repro.cq.homomorphism import find_homomorphism, find_homomorphisms
@@ -293,32 +294,45 @@ def stratify_constraints(dependencies, egd_in_every_stratum=True):
 
     Returns a list of lists of dependencies; the order of strata follows the
     order of first appearance in the input.
+
+    The strata depend on nothing but the dependency values, and every OCS
+    request on a catalog asks for the same ones, so the pairwise tableau
+    homomorphisms run once per constraint list: the partition is memoised
+    (bounded, keyed on ``tuple(dependencies)``) as positions into that list,
+    and each call builds fresh lists of the caller's own dependency objects,
+    which the caller may mutate.
     """
-    dependencies = list(dependencies)
+    dependencies = tuple(dependencies)
+    return [
+        [dependencies[index] for index in stratum]
+        for stratum in _strata(dependencies, egd_in_every_stratum)
+    ]
+
+
+@functools.lru_cache(maxsize=256)
+def _strata(dependencies, egd_in_every_stratum):
+    """The uncached body of :func:`stratify_constraints`, as index tuples."""
     if egd_in_every_stratum:
-        structural = [dep for dep in dependencies if dep.is_tgd]
-        egds = [dep for dep in dependencies if dep.is_egd]
+        structural = [index for index, dep in enumerate(dependencies) if dep.is_tgd]
+        egds = tuple(index for index, dep in enumerate(dependencies) if dep.is_egd)
     else:
-        structural = dependencies
-        egds = []
+        structural = list(range(len(dependencies)))
+        egds = ()
 
     if not structural:
-        return [list(egds)] if egds else []
+        return (egds,) if egds else ()
 
     union = _UnionFind(range(len(structural)))
     for i in range(len(structural)):
         for j in range(i + 1, len(structural)):
-            if constraints_interact(structural[i], structural[j]):
+            if constraints_interact(dependencies[structural[i]], dependencies[structural[j]]):
                 union.union(i, j)
 
     groups = union.groups()
     groups.sort(key=min)
-    strata = []
-    for group in groups:
-        stratum = [structural[index] for index in sorted(group)]
-        stratum.extend(egds)
-        strata.append(stratum)
-    return strata
+    return tuple(
+        tuple(structural[index] for index in sorted(group)) + egds for group in groups
+    )
 
 
 __all__ = [

@@ -866,7 +866,7 @@ def _run_socket_server(args, out):
             manager.start()  # periodic loop (no-op without --snapshot-interval)
     observability = None
     if args.http_port is not None:
-        from repro.service import ObservabilityServer
+        from repro.service.observability.httpd import ObservabilityServer
 
         observability = ObservabilityServer(
             service, tracer=service.tracer, host=args.host, port=args.http_port
@@ -946,7 +946,7 @@ def _run_route(args, out):
         if args.sync_interval is not None:
             router.attach_exchanger(interval=args.sync_interval)
         if args.http_port is not None:
-            from repro.service import ObservabilityServer
+            from repro.service.observability.httpd import ObservabilityServer
 
             # RouterStats mirrors the as_dict()/shards surface the sidecar
             # scrapes, so /metrics and /stats expose the routing gauges; the

@@ -64,7 +64,12 @@ class ContainmentMemo:  # repro-lint: ignore[pickle-safety] never pickled — th
 
     @staticmethod
     def key(source, target):
-        """The canonical pair signature a verdict is memoised under."""
+        """The canonical pair signature a verdict is memoised under.
+
+        Each side's :meth:`~repro.cq.query.PCQuery.signature` is memoised on
+        its query instance, so a warm check re-reads both keys rather than
+        rebuilding them.
+        """
         return (source.signature(), target.signature())
 
     @traced_stage("containment")

@@ -93,8 +93,16 @@ class PCQuery:
 
     @property
     def variable_set(self):
-        """Return the set of bound variable names."""
-        return frozenset(binding.var for binding in self.bindings)
+        """Return the set of bound variable names.
+
+        Memoised on the instance like :meth:`signature` (the backchase asks
+        every lattice node and every restriction for it).
+        """
+        variables = self.__dict__.get("_variable_set")
+        if variables is None:
+            variables = frozenset(binding.var for binding in self.bindings)
+            object.__setattr__(self, "_variable_set", variables)
+        return variables
 
     def binding_for(self, var):
         """Return the binding of variable ``var``.
@@ -318,10 +326,17 @@ class PCQuery:
         return result
 
     def __getstate__(self):
-        # Process-pool backchase tasks pickle queries between trusted local
-        # processes.  Copy the instance dict so pickling never iterates a
-        # restriction table a concurrent request is still filling.
+        """Pickle state for the process-pool backchase (trusted local processes).
+
+        A copy of the instance dict without the memoised ``_signature`` and
+        ``_variable_set``: the receiver rebuilds them on first use, so a
+        payload carries the fields and the restriction table only.  The
+        table is copied too, so pickling never iterates a table a concurrent
+        request is still filling.
+        """
         state = dict(self.__dict__)
+        state.pop("_signature", None)
+        state.pop("_variable_set", None)
         table = state.get("_restrictions")
         if table is not None:
             state["_restrictions"] = dict(table)
@@ -335,12 +350,26 @@ class PCQuery:
     # memoisation keys
     # ------------------------------------------------------------------ #
     def signature(self):
-        """A hashable, order-insensitive key for caching chase results."""
-        return (
-            frozenset(self.bindings),
-            frozenset(condition.normalized() for condition in self.conditions),
-            frozenset(self.output),
-        )
+        """A hashable, order-insensitive key for caching chase results.
+
+        The key of every warm lookup: :class:`~repro.chase.implication.
+        ChaseCache` entries and both sides of a :class:`~repro.cq.memo.
+        ContainmentMemo` verdict.  It is a pure function of the immutable
+        fields, so it is built once per instance and kept in the instance
+        dict (like the ``restrict_to`` table); a cached fixpoint and the
+        subqueries in its restriction table then pay for it once in their
+        lifetime.  Two threads racing on a fresh instance both compute the
+        same value, and either store wins.
+        """
+        signature = self.__dict__.get("_signature")
+        if signature is None:
+            signature = (
+                frozenset(self.bindings),
+                frozenset(condition.normalized() for condition in self.conditions),
+                frozenset(self.output),
+            )
+            object.__setattr__(self, "_signature", signature)
+        return signature
 
 
 def fresh_name(base, taken):

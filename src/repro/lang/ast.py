@@ -20,6 +20,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+#: Deepest path accepted from outside the program, by the parser and by the
+#: session codec.  A path's depth is 1 for a variable, constant or schema
+#: name, plus 1 for each attribute, lookup or ``dom`` step above its deepest
+#: child.  Real paths are a handful of steps; the bound keeps hashing and
+#: printing a path far from the interpreter's recursion limit.
+MAX_PATH_DEPTH = 64
+
 
 class Path:
     """Base class for path expressions.

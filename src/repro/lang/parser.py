@@ -29,6 +29,7 @@ import re
 
 from repro.errors import ParseError
 from repro.lang.ast import (
+    MAX_PATH_DEPTH,
     Attr,
     Binding,
     Const,
@@ -113,6 +114,7 @@ class _Parser:
         self.tokens = _tokenize(source)
         self.index = 0
         self.bound_vars = set()
+        self.nesting = 0  # paths being parsed: parentheses, ``dom`` and ``[...]``
 
     # ------------------------------------------------------------------ #
     # token-stream helpers
@@ -158,31 +160,55 @@ class _Parser:
     # paths and conditions
     # ------------------------------------------------------------------ #
     def parse_path(self):
-        """Parse a path expression with attribute and lookup postfixes."""
-        path = self._parse_path_primary()
+        """Parse a path expression with attribute and lookup postfixes.
+
+        Raises :class:`ParseError` when parentheses, ``dom`` and ``[...]``
+        nest, or the built path reaches, deeper than
+        :data:`~repro.lang.ast.MAX_PATH_DEPTH`.
+        """
+        return self._parse_path()[0]
+
+    def _parse_path(self):
+        """Parse a path; return it with its depth, counted as the session
+        codec counts it (see :data:`~repro.lang.ast.MAX_PATH_DEPTH`)."""
+        self.nesting += 1
+        if self.nesting > MAX_PATH_DEPTH:
+            raise ParseError(f"paths nested deeper than {MAX_PATH_DEPTH}", self._peek().position)
+        path, depth = self._parse_path_primary()
         while True:
+            position = self._peek().position
             if self._accept("symbol", "."):
                 attr = self._expect("ident")
-                path = Attr(path, attr.text)
+                path, depth = Attr(path, attr.text), depth + 1
             elif self._accept("symbol", "["):
-                key = self.parse_path()
+                key, key_depth = self._parse_path()
                 self._expect("symbol", "]")
-                path = Lookup(path, key)
+                path, depth = Lookup(path, key), 1 + max(depth, key_depth)
             else:
-                return path
+                self.nesting -= 1
+                return path, depth
+            _check_depth(depth, position)
 
     def _parse_path_primary(self):
+        token = self._peek()
         if self._accept("keyword", "dom"):
-            base = self.parse_path()
-            return Dom(base)
+            base, depth = self._parse_path()
+            _check_depth(depth + 1, token.position)
+            return Dom(base), depth + 1
         if self._accept("symbol", "("):
-            path = self.parse_path()
+            path, depth = self._parse_path()
             self._expect("symbol", ")")
-            return path
+            return path, depth
+        return self._parse_leaf(), 1
+
+    def _parse_leaf(self):
         token = self._peek()
         if token.kind == "int":
             self._advance()
-            return Const(int(token.text))
+            try:
+                return Const(int(token.text))
+            except ValueError:  # more digits than int() converts
+                raise ParseError("integer literal too long", token.position) from None
         if token.kind == "float":
             self._advance()
             return Const(float(token.text))
@@ -332,6 +358,11 @@ class _Parser:
             tuple(existential),
             tuple(conclusion),
         )
+
+
+def _check_depth(depth, position):
+    if depth > MAX_PATH_DEPTH:
+        raise ParseError(f"path deeper than {MAX_PATH_DEPTH}", position)
 
 
 def _unquote(text):

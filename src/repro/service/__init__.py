@@ -42,7 +42,9 @@ Modules
     First-class observability: per-request span trees threaded through
     the whole pipeline (:class:`~repro.service.observability.Tracer`),
     the Prometheus/health HTTP sidecar
-    (:class:`~repro.service.observability.ObservabilityServer`) and the
+    (:class:`~repro.service.observability.httpd.ObservabilityServer`, not
+    re-exported here: import it from ``repro.service.observability.httpd``,
+    so only a process that serves HTTP loads ``http.server``) and the
     structured JSONL event log
     (:class:`~repro.service.observability.EventLog`).
 """
@@ -65,13 +67,7 @@ from repro.service.metrics import (
     StageHistograms,
     percentile,
 )
-from repro.service.observability import (
-    EventLog,
-    ObservabilityServer,
-    Tracer,
-    log_event,
-    render_metrics,
-)
+from repro.service.observability import EventLog, Tracer, log_event, render_metrics
 from repro.service.scheduler import ScheduledPool
 from repro.service.server import OptimizerServer
 from repro.service.service import OptimizerService, ServiceRequest, ServiceResponse
@@ -84,7 +80,6 @@ __all__ = [
     "FaultInjector",
     "InjectedCrash",
     "InjectedFault",
-    "ObservabilityServer",
     "OptimizerClient",
     "OptimizerServer",
     "OptimizerService",

@@ -25,7 +25,8 @@ classes in :data:`NODES`, and raises :class:`~repro.errors.CodecError` for
 anything else: an unknown tag or key, a wrong field count, a reference
 that is not a backward integer index to a node of the expected kind
 (booleans are not integers here), a name that is not a string, a constant
-that is not a scalar, or a path nested deeper than :data:`MAX_PATH_DEPTH`.
+that is not a scalar, or a path nested deeper than
+:data:`~repro.lang.ast.MAX_PATH_DEPTH`.
 The advertised digest is returned unchecked: the service's merge path
 recomputes it from the decoded constraint set.
 """
@@ -36,13 +37,8 @@ from dataclasses import dataclass
 
 from repro.cq.query import PCQuery
 from repro.errors import CodecError
-from repro.lang.ast import Attr, Binding, Const, Dom, Eq, Lookup, SchemaRef, Var
+from repro.lang.ast import MAX_PATH_DEPTH, Attr, Binding, Const, Dom, Eq, Lookup, SchemaRef, Var
 from repro.schema.constraints import Dependency
-
-#: Deepest path the decoder accepts.  Real paths are a handful of steps;
-#: the bound keeps hashing and printing a decoded path far from the
-#: interpreter's recursion limit.
-MAX_PATH_DEPTH = 64
 
 
 def _signature(bindings, conditions, output):
@@ -305,4 +301,4 @@ def decode_session(document):
     )
 
 
-__all__ = ["MAX_PATH_DEPTH", "NODES", "Session", "decode_session", "encode_session"]
+__all__ = ["NODES", "Session", "decode_session", "encode_session"]

@@ -12,10 +12,13 @@ Three surfaces over one running :class:`~repro.service.OptimizerService`:
     gauge, the per-shard breakdown and the per-stage latency histograms in
     Prometheus text exposition format.
 ``httpd``
-    :class:`ObservabilityServer` — a stdlib ``http.server`` sidecar with
-    ``/metrics`` (Prometheus), ``/healthz`` (liveness), ``/readyz``
-    (readiness), ``/stats`` (``as_dict`` JSON) and ``/traces`` (the recent
-    trace ring).
+    :class:`~repro.service.observability.httpd.ObservabilityServer` — a
+    stdlib ``http.server`` sidecar with ``/metrics`` (Prometheus),
+    ``/healthz`` (liveness), ``/readyz`` (readiness), ``/stats``
+    (``as_dict`` JSON) and ``/traces`` (the recent trace ring).  It is not
+    re-exported by this package: import it from
+    ``repro.service.observability.httpd``, so that importing ``repro`` does
+    not load ``http.server``, ``ssl`` and ``email`` into every process.
 ``events``
     :class:`EventLog` / :func:`log_event` — the structured JSONL event
     stream (request admitted/rejected/completed, runner crash/restart,
@@ -23,13 +26,11 @@ Three surfaces over one running :class:`~repro.service.OptimizerService`:
 """
 
 from repro.service.observability.events import EventLog, log_event
-from repro.service.observability.httpd import ObservabilityServer
 from repro.service.observability.prometheus import render_metrics
 from repro.service.observability.tracing import Tracer
 
 __all__ = [
     "EventLog",
-    "ObservabilityServer",
     "Tracer",
     "log_event",
     "render_metrics",

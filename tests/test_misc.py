@@ -1,5 +1,10 @@
 """Tests for the remaining public surface: pretty printer, canonical DB, plans, errors, package API."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 import repro
@@ -100,6 +105,21 @@ class TestErrorsAndPackage:
         assert repro.PCQuery is PCQuery
         for name in repro.__all__:
             assert hasattr(repro, name)
+
+    def test_imports_load_no_http_server_or_multiprocessing(self):
+        # The HTTP sidecar and the process-pool backchase import these on
+        # use; importing the package must not load them into every process.
+        src = str(Path(repro.__file__).resolve().parent.parent)
+        code = (
+            "import sys, repro, repro.service, repro.chase.optimizer; "
+            "print(sorted({'http.server', 'ssl', 'multiprocessing'} & set(sys.modules)))"
+        )
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "[]"
 
     def test_quickstart_from_module_docstring(self):
         catalog = repro.Catalog()

@@ -19,7 +19,6 @@ import pytest
 from repro.service import (
     EventLog,
     FaultInjector,
-    ObservabilityServer,
     OptimizerClient,
     OptimizerServer,
     OptimizerService,
@@ -30,7 +29,7 @@ from repro.service import (
     render_metrics,
 )
 from repro.service.metrics import STAGE_LATENCY_BUCKETS, ServiceStats
-from repro.service.observability.httpd import PROMETHEUS_CONTENT_TYPE
+from repro.service.observability.httpd import PROMETHEUS_CONTENT_TYPE, ObservabilityServer
 from repro.trace import STAGES, RequestTrace, activate, active_trace, traced_stage
 from repro.workloads import build_ec1, build_ec2
 

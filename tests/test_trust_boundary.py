@@ -12,6 +12,9 @@
   ``ValueError`` / ``TypeError``.
 * A bad request line gets an error record and the next line is still
   served, over a socket and in ``batch``.
+* Fuzzing the parser (Hypothesis): mutated queries, dependencies and paths,
+  and paths nested deeper than :data:`~repro.lang.ast.MAX_PATH_DEPTH`,
+  raise only :class:`~repro.errors.ParseError`.
 """
 
 import ast
@@ -30,13 +33,16 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import repro
 from repro.chase.implication import constraints_digest
 from repro.cli import main
-from repro.errors import CodecError, SnapshotError
+from repro.errors import CodecError, ParseError, SnapshotError
+from repro.lang.ast import MAX_PATH_DEPTH
+from repro.lang.parser import parse_dependency, parse_path, parse_query
+from repro.lang.pretty import format_dependency
 from repro.service import OptimizerClient, OptimizerServer, OptimizerService
-from repro.service.codec import MAX_PATH_DEPTH, NODES, decode_session
+from repro.service.codec import NODES, decode_session
 from repro.service.fleet import SnapshotStore
 from repro.service.protocol import WORKLOAD_BUILDERS, decode_request
 from repro.service.snapshots import SNAPSHOT_VERSION, read_snapshot
-from repro.workloads import build_ec2
+from repro.workloads import build_ec1, build_ec2, build_ec3
 
 JOIN_TIMEOUT = 120.0
 FUZZ = settings(
@@ -442,3 +448,72 @@ def test_batch_answers_a_bad_line_and_serves_the_rest(tmp_path):
     assert [r["status"] for r in records] == ["error", "ok", "ok"]
     assert records[0]["id"] == 1  # the bad line's number
     assert [r["id"] for r in records[1:]] == ["good", "good2"]
+
+
+# ---------------------------------------------------------------------- #
+# fuzzing the parser: malformed or over-deep text raises only ParseError
+# ---------------------------------------------------------------------- #
+def _parser_inputs():
+    inputs = []
+    for workload in (build_ec1(2, 1), build_ec2(1, 3, 1), build_ec3(3, 1)):
+        inputs.append((parse_query, str(workload.query)))
+        inputs += [(parse_dependency, format_dependency(dep)) for dep in workload.catalog.constraints()]
+    paths = ["M1[k1].N", "dom M", "(r).A", "M[k[j]].A.B", "'s\\'q'", "4.5", "true"]
+    return inputs + [(parse_path, path) for path in paths]
+
+
+_PARSER_INPUTS = _parser_inputs()
+_PIECES = st.sampled_from(
+    ["(", ")", "[", "]", ".", ",", "=", ":", "'", '"', "\\", "@", "1", "2.5", "x", "M",
+     " dom ", " and ", " in ", " where ", " from ", " select ", " struct(", " forall ",
+     " exists ", " implies ", " distinct "]
+)
+
+
+@settings(FUZZ, max_examples=600)
+@given(data=st.data())
+def test_mutated_parser_inputs_raise_only_parse_errors(data):
+    parse, text = data.draw(st.sampled_from(_PARSER_INPUTS), label="input")
+    for _ in range(data.draw(st.integers(1, 4), label="mutations")):
+        start = data.draw(st.integers(0, len(text)), label="start")
+        end = data.draw(st.integers(start, min(len(text), start + 12)), label="end")
+        mutation = data.draw(st.sampled_from(["delete", "insert", "duplicate", "text"]), label="mutation")
+        if mutation == "delete":
+            text = text[:start] + text[end:]
+        elif mutation == "insert":
+            text = text[:start] + data.draw(_PIECES, label="piece") * data.draw(
+                st.integers(1, 80), label="times"
+            ) + text[start:]
+        elif mutation == "duplicate":
+            text = text[:end] + text[start:end] * data.draw(st.integers(1, 40), label="times") + text[end:]
+        else:
+            text = text[:start] + data.draw(st.text(max_size=6), label="text") + text[end:]
+    try:
+        parse(text)
+    except ParseError:
+        pass
+
+
+@pytest.mark.parametrize(
+    "parse, text",
+    [
+        (parse_path, "M" + "[M" * 2000 + "[k" + "]" * 2001),
+        (parse_path, "dom " * 5000 + "M"),
+        (parse_path, "(" * 5000 + "x" + ")" * 5000),
+        (parse_query, "select struct(A: r" + ".a" * 5000 + ") from R r"),
+        (parse_query, "select struct(A: r.a) from R r where r.a = " + "(" * 5000 + "1" + ")" * 5000),
+        (parse_dependency, "forall r in R where r.A = r" + ".b" * MAX_PATH_DEPTH + " implies r = r"),
+        (parse_query, "select struct(A: " + "1" * 5000 + ") from R r"),
+    ],
+    ids=["lookups", "doms", "parentheses", "attributes", "condition", "dependency", "integer"],
+)
+def test_over_deep_or_oversized_paths_raise_parse_errors(parse, text):
+    with pytest.raises(ParseError):
+        parse(text)
+
+
+def test_the_deepest_accepted_path_prints_and_hashes():
+    path = parse_path("x" + ".a" * (MAX_PATH_DEPTH - 1))
+    query = parse_query("select struct(A: r" + ".a" * (MAX_PATH_DEPTH - 1) + ") from R r")
+    assert str(path).count(".a") == MAX_PATH_DEPTH - 1
+    assert hash(query) == hash(parse_query(str(query)))
