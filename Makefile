@@ -12,9 +12,10 @@
 # serve-obs-smoke` runs a traced server with the HTTP observability sidecar
 # and asserts /metrics, /healthz, /readyz, /stats and /traces via the
 # obs-check subcommand; `make fleet-smoke` routes the workload through the
-# consistent-hash fleet router in front of two backends, kills one backend
-# with SIGKILL, and asserts the retrying client still passes --check via
-# failover; `make perf-smoke` runs perfbench's service workloads, a traced
+# consistent-hash fleet router in front of two backends sharing a snapshot
+# store, kills one backend with SIGKILL, asserts the retrying client still
+# passes --check via failover, then checks that a fresh backend serves the
+# workload warm from the store; `make perf-smoke` runs perfbench's service workloads, a traced
 # run and a cold pass over every pair through the benchmark's own checks;
 # `make tier1` is the full suite CI runs.
 
@@ -151,19 +152,27 @@ serve-obs-smoke:
 	rm -f .serve-obs-smoke.port .serve-obs-smoke.http; \
 	exit $$status
 
-# Fleet smoke test: two backend servers behind the consistent-hash router
-# (periodic cache/memo sync between them), the retrying client passes
-# --check through the router, then one backend is killed with SIGKILL and a
-# second pass must still verify every plan set — requests whose primary
-# died fail over to the surviving replica (which the sync exchange has been
-# keeping warm) instead of erroring.
+# Fleet smoke test: two backend servers sharing one snapshot store behind
+# the consistent-hash router.  The retrying client passes --check through
+# the router, then one backend is killed with SIGKILL and a second pass
+# must still verify every plan set: requests whose primary died fail over
+# to the surviving replica instead of erroring.  SIGTERM then makes the
+# survivor's drain-time save complete the store, and a fresh backend booted
+# on it must serve the workload straight with --check, reading each
+# catalog's file on first contact: its stats line must show
+# sessions_restored == 6 (the workload's distinct catalogs) and no cache or
+# memo miss.  A fresh backend, because placement hashes OS-assigned ports:
+# the survivor alone might find nothing to read.
 fleet-smoke:
-	@rm -f .fleet-smoke.b1 .fleet-smoke.b2 .fleet-smoke.router; \
+	@rm -rf .fleet-smoke.*; \
+	trap 'rm -rf .fleet-smoke.*' EXIT; \
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro.cli serve --port 0 \
-		--port-file .fleet-smoke.b1 --shards 1 --workers 2 & \
+		--port-file .fleet-smoke.b1 --shards 1 --workers 2 \
+		--snapshot-store .fleet-smoke.store & \
 	b1_pid=$$!; \
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro.cli serve --port 0 \
-		--port-file .fleet-smoke.b2 --shards 1 --workers 2 & \
+		--port-file .fleet-smoke.b2 --shards 1 --workers 2 \
+		--snapshot-store .fleet-smoke.store & \
 	b2_pid=$$!; \
 	for i in $$(seq 1 100); do \
 		[ -s .fleet-smoke.b1 ] && [ -s .fleet-smoke.b2 ] && break; sleep 0.1; \
@@ -171,7 +180,7 @@ fleet-smoke:
 	{ [ -s .fleet-smoke.b1 ] && [ -s .fleet-smoke.b2 ]; } \
 		|| { echo "backends never bound"; kill $$b1_pid $$b2_pid 2>/dev/null; exit 1; }; \
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro.cli route --port 0 \
-		--port-file .fleet-smoke.router --sync-interval 0.5 \
+		--port-file .fleet-smoke.router \
 		--backend 127.0.0.1:$$(cat .fleet-smoke.b1) \
 		--backend 127.0.0.1:$$(cat .fleet-smoke.b2) & \
 	router_pid=$$!; \
@@ -188,12 +197,26 @@ fleet-smoke:
 	kill -9 $$b1_pid; wait $$b1_pid 2>/dev/null; \
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro.cli client \
 		--port $$(cat .fleet-smoke.router) --retries 8 \
-		--input benchmarks/workloads/serve_smoke.jsonl --output /dev/null --check; \
-	status=$$?; \
+		--input benchmarks/workloads/serve_smoke.jsonl --output /dev/null --check \
+		|| { echo "failover pass failed --check"; \
+		     kill -9 $$router_pid $$b2_pid 2>/dev/null; exit 1; }; \
 	kill -TERM $$router_pid $$b2_pid 2>/dev/null; \
 	wait $$router_pid $$b2_pid 2>/dev/null; \
-	rm -f .fleet-smoke.b1 .fleet-smoke.b2 .fleet-smoke.router; \
-	exit $$status
+	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro.cli serve --port 0 \
+		--port-file .fleet-smoke.b3 --shards 1 --workers 2 \
+		--snapshot-store .fleet-smoke.store --stats > .fleet-smoke.stats & \
+	b3_pid=$$!; \
+	for i in $$(seq 1 100); do \
+		[ -s .fleet-smoke.b3 ] && break; sleep 0.1; \
+	done; \
+	[ -s .fleet-smoke.b3 ] || { echo "fresh backend never bound"; kill $$b3_pid; exit 1; }; \
+	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro.cli client \
+		--port $$(cat .fleet-smoke.b3) \
+		--input benchmarks/workloads/serve_smoke.jsonl --output /dev/null --check \
+		|| { echo "fresh backend failed --check"; kill -9 $$b3_pid; exit 1; }; \
+	kill -TERM $$b3_pid; wait $$b3_pid; \
+	$(PYTHON) -c 'import json, sys; s = json.loads(open(".fleet-smoke.stats").read().splitlines()[-1])["stats"]; print("fleet-smoke: fresh backend", {k: s[k] for k in ("sessions_restored", "cache_misses", "memo_misses")}); sys.exit(not (s["sessions_restored"] == 6 and s["cache_misses"] == 0 and s["memo_misses"] == 0))' \
+		|| { echo "fresh backend did not serve warm from the store"; exit 1; }
 
 # Perf smoke test: perfbench/run.py drives the service in process
 # (warm-service) and over a socket (churn-socket) for 5 s each, then a traced

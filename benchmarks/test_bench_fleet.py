@@ -1,29 +1,32 @@
-"""Fleet benchmark: routed throughput and cross-process cache movement.
+"""Fleet benchmark: routed throughput and cross-process warm state.
 
 Runs the mixed EC1/EC2/EC3 request mix through a consistent-hash
-:class:`~repro.service.fleet.FleetRouter` in front of two real TCP backends,
-then drives one ``sync`` exchange round and probes each catalog on the
-backend that did *not* compute it.  Records into ``BENCH_PR10.json``:
+:class:`~repro.service.fleet.FleetRouter` in front of two real TCP backends
+that share one :class:`~repro.service.fleet.SnapshotStore`, then has each
+backend save its sessions into the store once and probes each catalog on
+the backend that did *not* compute it.  Records into ``BENCH_PR10.json``:
 
 * **fleet vs single-shot** — identical plan-set digests (the differential
   bar) plus both wall clocks;
 * **cross-process warm-hit rate** — the fraction of catalogs whose first
   request on the *peer* backend hit chase-cache or containment-memo state
-  it never computed locally (must be > 0 after one exchange round: that is
-  the whole point of the sync op);
-* router gauges (routed / rerouted / shed) and sessions moved by the round.
+  it never computed locally, read from the store on that first contact
+  (must be 1.0: every catalog's file is in the store);
+* router gauges (routed / rerouted / shed), the sessions saved, the time
+  the saves took and the sessions the peers restored.
 
 ``BENCH_QUICK=1`` shrinks the routed phase to one round of the mix.
 """
 
 import os
+import tempfile
 import time
 
 from conftest import record_bench
 
 from repro.chase.implication import constraints_digest
 from repro.service import OptimizerClient, OptimizerServer
-from repro.service.fleet import FleetRouter, parse_backend
+from repro.service.fleet import FleetRouter, SnapshotStore, StoreSaver, parse_backend
 from repro.service.protocol import WORKLOAD_BUILDERS, plan_digest
 
 BENCH_FILE = "BENCH_PR10.json"
@@ -65,8 +68,10 @@ def _run_fleet(rounds):
         reference.append(plan_digest(result.plans))
     single_shot_wall = time.perf_counter() - single_start
 
-    with OptimizerServer(shards=1, workers=2) as server_a:
-        with OptimizerServer(shards=1, workers=2) as server_b:
+    with tempfile.TemporaryDirectory() as root, OptimizerServer(
+        shards=1, workers=2, store=SnapshotStore(root)
+    ) as server_a:
+        with OptimizerServer(shards=1, workers=2, store=server_a.service.store) as server_b:
             servers = {
                 f"127.0.0.1:{server_a.port}": server_a,
                 f"127.0.0.1:{server_b.port}": server_b,
@@ -80,12 +85,16 @@ def _run_fleet(rounds):
                 fleet_digests = [r["plan_digests"] for r in responses]
                 digests_match = fleet_digests == reference * rounds
 
-                # One exchange round over the router's own backend clients.
-                exchanger = router.attach_exchanger()
-                sessions_moved = exchanger.run_once(timeout=600)
+                # One save per backend into the shared store.
+                save_start = time.perf_counter()
+                sessions_saved = sum(
+                    StoreSaver(server.service, server.service.store).save_caches(None)
+                    for server in servers.values()
+                )
+                store_save_s = time.perf_counter() - save_start
 
                 # Probe every catalog on the backend that did NOT serve it:
-                # after the sync round its first contact must already be warm.
+                # its first contact reads the catalog's file, so it is warm.
                 warm_hits = 0
                 peer_digests_match = True
                 peer_clients = {}
@@ -116,8 +125,8 @@ def _run_fleet(rounds):
                     for peer_client in peer_clients.values():
                         peer_client.close()
                 stats = router.stats()
-                merged_totals = sum(
-                    server.service.stats().sync_sessions_merged
+                sessions_restored = sum(
+                    server.service.stats().sessions_restored
                     for server in servers.values()
                 )
     return {
@@ -127,8 +136,9 @@ def _run_fleet(rounds):
         "errors": stats.errors,
         "digests_match": digests_match,
         "peer_digests_match": peer_digests_match,
-        "sync_sessions_moved": sessions_moved,
-        "sync_sessions_merged": merged_totals,
+        "store_sessions_saved": sessions_saved,
+        "store_save_s": round(store_save_s, 4),
+        "sessions_restored": sessions_restored,
         "cross_process_warm_hits": warm_hits,
         "cross_process_warm_hit_rate": round(warm_hits / len(MIX), 4),
         "single_shot_wall_s": round(single_shot_wall, 4),
@@ -136,7 +146,7 @@ def _run_fleet(rounds):
     }
 
 
-def test_fleet_router_and_sync(benchmark):
+def test_fleet_router_and_store(benchmark):
     quick = bool(os.environ.get("BENCH_QUICK"))
     rounds = 1 if quick else 2
     start = time.perf_counter()
@@ -152,13 +162,14 @@ def test_fleet_router_and_sync(benchmark):
     assert measurement["shed"] == 0
     assert measurement["requests_routed"] == rounds * len(MIX)
 
-    # The tentpole claim: after one exchange round, peers serve warm state
-    # they never computed — the cross-process warm-hit rate is positive.
-    assert measurement["sync_sessions_moved"] >= 1
-    assert measurement["cross_process_warm_hit_rate"] > 0
+    # After one save per backend, each peer reads every catalog it never
+    # computed from the store on first contact, and serves it warm.
+    assert measurement["store_sessions_saved"] == len(MIX)
+    assert measurement["sessions_restored"] == len(MIX)
+    assert measurement["cross_process_warm_hit_rate"] == 1.0
 
     record_bench(
-        "fleet_router_sync",
+        "fleet_router_store",
         wall_clock=wall_clock,
         counters=measurement,
         backends=2,

@@ -57,10 +57,10 @@ def constraints_digest(constraints):
     This is the one constraint-set identity shared by every placement and
     persistence layer: shard routing (:func:`repro.service.shard.shard_index`),
     the fleet router's consistent-hash ring, snapshot staleness checks and
-    the cross-process sync guard all hash this digest.  Hashing anything
+    the snapshot store's file names all hash this digest.  Hashing anything
     weaker (the sorted dependency *names*, as the pre-fleet shard router did)
     aliases constraint sets whose names collide but whose bodies differ —
-    a correctness bug once state is exchanged or re-routed on that identity.
+    a correctness bug once state is persisted or re-routed on that identity.
     """
     text = "\n".join(sorted(str(dep) for dep in constraints))
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
@@ -239,21 +239,6 @@ class ChaseCache:  # repro-lint: ignore[pickle-safety] never pickled — the ses
             if counters is not None:
                 self.counters.add(counters)
 
-    def merge(self, other):
-        """Merge another :class:`ChaseCache` (entries and accounting).
-
-        ``other``'s state is snapshotted under *its* lock first (a live cache
-        can be merged while still being written to, e.g. replica exchange);
-        the snapshot is released before this cache's lock is taken, so the
-        two locks are never nested and cross-merges cannot deadlock.
-        """
-        with other._lock:
-            entries = dict(other._cache)
-            hits, misses = other.hits, other.misses
-            counters = ChaseCounters()
-            counters.add(other.counters)
-        self.merge_exported(entries, hits, misses, counters)
-
 
 class ChaseCacheRegistry:  # repro-lint: ignore[pickle-safety] never pickled — the session codec copies caches through export_entries
     """Warm :class:`ChaseCache` instances keyed by exact constraint set.
@@ -309,31 +294,20 @@ class ChaseCacheRegistry:  # repro-lint: ignore[pickle-safety] never pickled —
         }
 
     # ------------------------------------------------------------------ #
-    # delta exchange (cross-process fleet sync)
+    # whole export / merge (the session codec)
     # ------------------------------------------------------------------ #
-    def export_entries(self, markers=None):
-        """Delta-export every cache's entries added since ``markers``.
-
-        ``markers`` maps :func:`constraint_signature` to the marker returned
-        by the previous call (missing/``None`` = everything).  Returns
-        ``(exported, new_markers)``: one ``(dependencies, {query_signature:
-        fixpoint})`` pair per cache with new entries (copied under the
-        cache's lock), and what the *next* call should pass.  Markers are
-        taken before the export, so an entry landing between the two reads
-        is shipped twice — harmless, because :meth:`merge_entries` is
-        idempotent.
-        """
-        markers = markers or {}
+    def export_entries(self):
+        """Every cache's entries as ``(dependencies, {query_signature:
+        fixpoint})`` pairs, one per non-empty cache, each copied under its
+        cache's lock."""
         with self._lock:
-            caches = dict(self._caches)
+            caches = list(self._caches.values())
         exported = []
-        new_markers = {}
-        for signature, cache in caches.items():
-            new_markers[signature] = cache.snapshot()
-            entries = cache.export_since(markers.get(signature, 0))
+        for cache in caches:
+            entries = cache.export_since(0)
             if entries:
                 exported.append((tuple(cache.dependencies), entries))
-        return exported, new_markers
+        return exported
 
     def merge_entries(self, exported):
         """Fold :meth:`export_entries`-shaped ``(dependencies, entries)`` pairs in.

@@ -13,8 +13,9 @@ Usage (after ``pip install -e .``)::
     python -m repro.cli serve < requests.jsonl
     python -m repro.cli serve --port 7411 --max-queue-depth 16 --snapshot warm.snap
     python -m repro.cli client --port 7411 --input requests.jsonl --check
+    python -m repro.cli serve --port 7411 --snapshot-store fleet-store
     python -m repro.cli route --backend 127.0.0.1:7411 --backend 127.0.0.1:7412 \\
-        --port 7410 --sync-interval 5
+        --port 7410
 
 The ``fig*`` / ``plans-table`` commands print the same rows the corresponding
 figures and tables of the paper report; ``optimize`` runs a single optimizer
@@ -37,13 +38,13 @@ and the process exits non-zero on any plan-set mismatch (the
 
 ``route`` runs the fleet front end (:mod:`repro.service.fleet`): it
 consistent-hashes every request's structural constraint digest across the
-``--backend`` ``serve`` processes, re-routes ``overloaded`` responses to
-the next replica with capacity instead of shedding them, and (with
-``--sync-interval``) periodically relays each backend's chase-cache and
-containment-memo deltas to its peers over the ``sync`` protocol op, so a
-replica serves warm hits it never computed locally.  ``serve`` takes
-``--snapshot-store DIR`` to boot from (and keep feeding) the fleet's
-shared per-session snapshot directory.
+``--backend`` ``serve`` processes and re-routes ``overloaded`` responses to
+the next replica with capacity instead of shedding them.  Backends share
+warm state through ``serve --snapshot-store DIR``, the fleet's per-session
+snapshot directory: each saves its sessions there (at drain, and with
+``--snapshot-interval`` periodically), and reads a catalog's file the first
+time a request for it arrives, so a replica serves warm hits it never
+computed locally.
 
 Observability: ``--trace`` (or ``--trace-log``) threads a span tree through
 every request — responses carry it under ``"trace"``; ``--event-log``
@@ -215,7 +216,7 @@ def build_parser():
     route = subparsers.add_parser(
         "route",
         help="run the fleet router: consistent-hash requests across backend "
-        "servers, re-route overloads, periodically exchange warm caches",
+        "servers and re-route overloads",
     )
     route.add_argument(
         "--backend",
@@ -236,13 +237,6 @@ def build_parser():
         default=None,
         help="write the bound port to this file once listening "
         "(for scripts using --port 0)",
-    )
-    route.add_argument(
-        "--sync-interval",
-        type=float,
-        default=None,
-        help="seconds between cache/memo exchange rounds across the backends "
-        "(default: no background exchange)",
     )
     route.add_argument(
         "--connect-timeout",
@@ -285,7 +279,7 @@ def build_parser():
         "--event-log",
         default=None,
         help="append structured JSONL routing events (route.reroute, "
-        "route.failover, route.shed, sync.round) to this file ('-' = stderr)",
+        "route.failover, route.shed) to this file ('-' = stderr)",
     )
     route.add_argument(
         "--stats",
@@ -418,9 +412,10 @@ def _add_service_options(subparser):
         default=None,
         metavar="DIR",
         help="shared fleet snapshot directory (one atomic file per "
-        "constraint digest): restored at startup, saved at shutdown — and "
-        "with --snapshot-interval, periodically; any fleet member's saves "
-        "warm every other member's next boot",
+        "constraint digest): a catalog's file is read when a request first "
+        "creates its session, and every session is saved at shutdown — and "
+        "with --snapshot-interval, periodically — so any fleet member's "
+        "saves warm every other member",
     )
     subparser.add_argument(
         "--overload-retry-after",
@@ -602,7 +597,9 @@ def _close_observability(service):
 
 def _build_service(args):
     """Construct the optimizer service from the shared service flags,
-    loading the ``--snapshot`` file when one exists (warm restart).
+    loading the ``--snapshot`` file when one exists (warm restart).  A
+    ``--snapshot-store`` directory is handed to the service, which reads a
+    catalog's file when a request first creates its session.
 
     Snapshot recovery never crashes the boot: a corrupt, truncated,
     wrong-version or otherwise unusable snapshot is reported as a
@@ -614,6 +611,11 @@ def _build_service(args):
     fault_injector = None
     if getattr(args, "fault_spec", None):
         fault_injector = FaultInjector.from_spec(args.fault_spec, seed=args.fault_seed)
+    store = None
+    if args.snapshot_store:
+        from repro.service.fleet import SnapshotStore
+
+        store = SnapshotStore(args.snapshot_store)
     service = OptimizerService(
         shards=args.shards,
         workers=args.workers,
@@ -627,6 +629,7 @@ def _build_service(args):
         fault_injector=fault_injector,
         tracer=_build_tracer(args),
         event_log=_build_event_log(args),
+        store=store,
     )
     # The exists() guard keeps a first boot (no snapshot yet) from counting
     # as a recovery; every other load failure degrades to a cold start.
@@ -643,23 +646,14 @@ def _build_service(args):
                 error=str(error),
                 action="starting cold",
             )
-    if getattr(args, "snapshot_store", None):
-        from repro.service.fleet import SnapshotStore
-
-        # Per-file degradation inside restore(): a stale or unreadable
-        # session file cold-starts that one catalog, never the boot.
-        SnapshotStore(args.snapshot_store).restore(service)
     return service
 
 
 def _save_snapshot(service, args):
     if args.snapshot:
         service.save_caches(args.snapshot)
-    if getattr(args, "snapshot_store", None):
-        from repro.service.fleet import SnapshotStore, StoreSaver
-
-        store = SnapshotStore(args.snapshot_store)
-        StoreSaver(service, store).save_caches(store.root)
+    if service.store is not None:
+        service.store.save(service.export_sessions(), faults=service.fault_injector)
 
 
 class _StreamEmitter:  # repro-lint: ignore[pickle-safety] never pickled — wraps a live output stream for one CLI run
@@ -835,17 +829,16 @@ def _run_socket_server(args, out):
                     event_log=snapshot_events,
                 )
             )
-        if args.snapshot_store:
-            from repro.service.fleet import SnapshotStore, StoreSaver
+        if service.store is not None:
+            from repro.service.fleet import StoreSaver
 
             # The StoreSaver facade fans save_caches() out into the shared
             # per-session store, so the manager's periodic loop, SIGUSR1
             # trigger and drain-time save all feed the fleet directory.
-            store = SnapshotStore(args.snapshot_store)
             managers.append(
                 SnapshotManager(
-                    StoreSaver(service, store),
-                    store.root,
+                    StoreSaver(service, service.store),
+                    service.store.root,
                     interval=args.snapshot_interval,
                     event_log=snapshot_events,
                 )
@@ -943,8 +936,6 @@ def _run_route(args, out):
             pass
     observability = None
     try:
-        if args.sync_interval is not None:
-            router.attach_exchanger(interval=args.sync_interval)
         if args.http_port is not None:
             from repro.service.observability.httpd import ObservabilityServer
 

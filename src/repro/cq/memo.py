@@ -17,8 +17,8 @@ two structurally identical queries share a key).  A verdict depends on
 nothing but the two queries, so the memo is sound across requests, catalogs
 and constraint sets; it is LRU-bounded like
 :class:`~repro.chase.implication.ChaseCache`, thread-safe and mergeable
-(snapshots and the fleet sync carry its verdicts through
-:meth:`ContainmentMemo.export_since`).
+(snapshots and the shared snapshot store carry its verdicts through
+:meth:`ContainmentMemo.export` and :meth:`ContainmentMemo.merge_exported`).
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from repro.cq.containment import has_containment_mapping
 from repro.trace import traced_stage
 
 
-class ContainmentMemo:  # repro-lint: ignore[pickle-safety] never pickled — the session codec copies verdicts through export_since
+class ContainmentMemo:  # repro-lint: ignore[pickle-safety] never pickled — the session codec copies verdicts through export
     """LRU-bounded memo of containment-mapping verdicts.
 
     Parameters
@@ -53,10 +53,6 @@ class ContainmentMemo:  # repro-lint: ignore[pickle-safety] never pickled — th
             raise ValueError(f"max_entries must be >= 1 or None, got {max_entries!r}")
         self.max_entries = max_entries
         self._verdicts = OrderedDict()  # guarded-by: _lock
-        #: Insertion log backing :meth:`snapshot` / :meth:`export_since` —
-        #: same delta-export protocol as :class:`~repro.chase.implication.
-        #: ChaseCache` (the fleet sync ships memo deltas, not whole memos).
-        self._log = []  # guarded-by: _lock
         self.hits = 0  # guarded-by: _lock
         self.misses = 0  # guarded-by: _lock
         self.evictions = 0  # guarded-by: _lock
@@ -109,63 +105,33 @@ class ContainmentMemo:  # repro-lint: ignore[pickle-safety] never pickled — th
     def _store(self, key, verdict):  # holds: _lock
         if key not in self._verdicts:
             self._verdicts[key] = verdict
-            self._log.append(key)
             while self.max_entries is not None and len(self._verdicts) > self.max_entries:
                 self._verdicts.popitem(last=False)
                 self.evictions += 1
-            self._compact_log()
         elif self.max_entries is not None:
             self._verdicts.move_to_end(key)
 
-    def _compact_log(self):  # holds: _lock
-        # Mirrors ChaseCache._compact_log: under eviction churn the log is
-        # rewritten to the live keys; a stale marker then under-reports,
-        # which only costs the receiving replica a re-search (merges are
-        # idempotent — verdicts are pure functions of the query pair).
-        if self.max_entries is not None and len(self._log) > 4 * self.max_entries + 16:
-            self._log = list(self._verdicts)
+    def export(self):
+        """Every verdict as ``[(key, verdict)]`` in eviction order (least
+        recently used first when bounded, insertion order otherwise).
 
-    def snapshot(self):
-        """Return an opaque marker for :meth:`export_since`."""
-        with self._lock:
-            return len(self._log)
-
-    def export_since(self, marker=0):
-        """Return the verdicts stored after ``marker`` as ``[(key, verdict)]``.
-
-        The fleet sync ships these between replicas; verdicts evicted since
-        they were logged are skipped, and after a log compaction a stale
-        marker may under-report — callers treat the export as best-effort
-        warm-up, never ground truth.
+        One copy taken under the lock, so a memo can be exported while
+        requests keep storing verdicts; merging the list elsewhere keeps
+        that order.
         """
         with self._lock:
-            return [
-                (key, self._verdicts[key])
-                for key in self._log[marker:]
-                if key in self._verdicts
-            ]
+            return list(self._verdicts.items())
 
     def merge_exported(self, entries):
-        """Fold a peer's :meth:`export_since` payload into this memo.
+        """Fold an :meth:`export` list into this memo.
 
         Idempotent (a verdict already present is left alone); accounting is
         *not* transferred — hit/miss counters describe this process's
-        traffic, and exchanged verdicts show up as future hits instead.
+        traffic, and loaded verdicts show up as future hits instead.
         """
         with self._lock:
             for key, verdict in entries:
                 self._store(key, verdict)
-
-    def merge(self, other):
-        """Fold another memo's verdicts and accounting into this one."""
-        with other._lock:
-            entries = list(other._verdicts.items())
-            hits, misses = other.hits, other.misses
-        with self._lock:
-            for key, verdict in entries:
-                self._store(key, verdict)
-            self.hits += hits
-            self.misses += misses
 
     def __len__(self):
         # Takes the lock: a bare len() can observe the OrderedDict mid-insert

@@ -24,7 +24,8 @@ Modules
     The JSONL request/response codec shared by the CLI, the socket server
     and the client.
 ``codec``
-    The data-only session codec shared by snapshots and fleet sync.
+    The data-only session codec shared by snapshots and the fleet's
+    shared snapshot store.
 ``server`` / ``client``
     The TCP front end: JSONL over a socket with graceful drain, typed
     overload responses, and id-based response demultiplexing; the client

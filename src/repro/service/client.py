@@ -45,12 +45,7 @@ import time
 from concurrent.futures import Future
 
 from repro.errors import ConnectionLost, ProtocolError
-from repro.service.protocol import (
-    ping_request,
-    stats_request,
-    sync_export_request,
-    sync_merge_request,
-)
+from repro.service.protocol import ping_request, stats_request
 
 #: Transport failures :meth:`OptimizerClient.request` treats as transient.
 _TRANSIENT = (ProtocolError, ConnectionError, OSError)
@@ -312,16 +307,6 @@ class OptimizerClient:  # repro-lint: ignore[pickle-safety] never pickled — cl
     def ping(self, timeout=None):
         """Liveness round-trip; returns ``True`` when the server answered."""
         return bool(self.request(ping_request(), timeout=timeout).get("pong"))
-
-    def sync_export(self, timeout=None):
-        """Fetch the server's hot-session cache/memo deltas (fleet exchange)."""
-        response = self.request(sync_export_request(), timeout=timeout)
-        return response.get("sessions") or []
-
-    def sync_merge(self, sessions, timeout=None):
-        """Offer a peer's exported deltas; returns ``(merged, rejected)``."""
-        response = self.request(sync_merge_request(sessions), timeout=timeout)
-        return response.get("merged", 0), response.get("rejected", 0)
 
     # ------------------------------------------------------------------ #
     # reconnect + backoff plumbing

@@ -1,9 +1,9 @@
 """The data-only session codec: one warm session as one JSON document.
 
-Snapshots, the shared snapshot store and the fleet ``sync`` op all move a
-session's warm state — its exact constraint set, every chase-cache entry
-(query signature -> fixpoint, with the fixpoint's restriction table) and
-every containment verdict — as this document::
+Snapshots and the shared snapshot store both move a session's warm
+state — its exact constraint set, every chase-cache entry (query
+signature -> fixpoint, with the fixpoint's restriction table) and every
+containment verdict — as this document::
 
     {"label": "12c-1a2b3c4d", "constraints_digest": "<digest>",
      "nodes": [["s", "R"], ["v", "r"], ["b", "r", 0], ...],
@@ -19,8 +19,8 @@ fields) and refers only to earlier nodes, so a shared sub-term is written
 once and the table decodes in one forward pass.  A ``signature`` node is a
 query's cache/memo key (:meth:`~repro.cq.query.PCQuery.signature`).
 
-The decoder is the trust boundary for bytes read from a socket or a
-snapshot file.  It takes only ``json``-parsed data, builds nothing but the
+The decoder is the trust boundary for bytes read from a snapshot file or a
+store file.  It takes only ``json``-parsed data, builds nothing but the
 classes in :data:`NODES`, and raises :class:`~repro.errors.CodecError` for
 anything else: an unknown tag or key, a wrong field count, a reference
 that is not a backward integer index to a node of the expected kind

@@ -1,4 +1,4 @@
-"""The optimizer fleet layer: router, membership ring, exchange, snapshot store.
+"""The optimizer fleet layer: router, membership ring, shared snapshot store.
 
 One ``serve`` process scales a single host; the fleet layer scales the
 *deployment*:
@@ -12,21 +12,18 @@ One ``serve`` process scales a single host; the fleet layer scales the
   requests are hashed to a backend, ``overloaded`` responses are
   *re-routed* to the next replica with capacity instead of shed, and
   transport failures fail over the same way.
-* :mod:`~repro.service.fleet.exchange` — the periodic cache/memo exchange
-  driving the ``sync`` protocol op: each backend's hot-session deltas
-  (chase fixpoints + containment verdicts) are relayed to its peers, so a
-  replica serves warm hits it never computed locally.
 * :mod:`~repro.service.fleet.store` — the shared snapshot store (one
-  atomic per-session file keyed by constraint digest), so restarts *and*
-  scale-up start warm from whatever any fleet member saved.
+  atomic per-session file keyed by constraint digest), the fleet's one path
+  for warm state: every backend saves into it, and a backend that meets a
+  catalog for the first time reads that catalog's file before serving it,
+  so a replica serves warm hits it never computed.
 
 Everything is keyed by the one structural identity —
 :func:`~repro.chase.implication.constraints_digest` — that shard placement,
-snapshot staleness and the sync guard already share: exchanged or restored
-state is only valid under the exact dependency set it was computed with.
+the ring and snapshot staleness already share: stored state is only valid
+under the exact dependency set it was computed with.
 """
 
-from repro.service.fleet.exchange import SyncExchanger
 from repro.service.fleet.membership import Backend, HashRing, parse_backend
 from repro.service.fleet.router import FleetRouter, RouterStats
 from repro.service.fleet.store import SnapshotStore, StoreSaver
@@ -38,6 +35,5 @@ __all__ = [
     "RouterStats",
     "SnapshotStore",
     "StoreSaver",
-    "SyncExchanger",
     "parse_backend",
 ]

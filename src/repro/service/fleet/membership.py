@@ -42,7 +42,7 @@ class Backend:
     """One backend ``serve`` process as the router sees it.
 
     ``healthy`` is the router's optimistic health bit: it starts True, flips
-    False on a transport failure and back on any successful exchange — the
+    False on a transport failure and back on any successful request — the
     readiness probe and the ``backends_healthy`` gauge read it.  The
     mutable counters are guarded by the owning router's stats lock.
     """

@@ -72,8 +72,6 @@ class RouterStats:
     failovers: int = 0
     shed: int = 0
     errors: int = 0
-    sync_rounds: int = 0
-    sync_sessions_moved: int = 0
     shards: list = field(default_factory=list, repr=False)
 
     def as_dict(self):
@@ -86,8 +84,6 @@ class RouterStats:
             "failovers": self.failovers,
             "shed": self.shed,
             "errors": self.errors,
-            "sync_rounds": self.sync_rounds,
-            "sync_sessions_moved": self.sync_sessions_moved,
         }
 
 
@@ -142,7 +138,6 @@ class FleetRouter:  # repro-lint: ignore[pickle-safety] never pickled — owns s
         self.connect_timeout = connect_timeout
         self.request_timeout = request_timeout
         self.event_log = event_log
-        self.exchanger = None  # attached by attach_exchanger
         self._clients = {}  # guarded-by: _clients_lock
         self._clients_lock = threading.Lock()
         self._stats_lock = threading.Lock()
@@ -299,12 +294,6 @@ class FleetRouter:  # repro-lint: ignore[pickle-safety] never pickled — owns s
                 self._clients[backend.name] = client
             return client
 
-    def client_for_name(self, name):
-        """A (shared, reconnecting) client for backend ``name`` — the
-        exchanger routes its sync ops through the same links requests use,
-        so health flips from either path agree."""
-        return self._client_for(self._backends[name])
-
     def _mark(self, backend, healthy):
         with self._stats_lock:
             backend.healthy = healthy
@@ -364,8 +353,8 @@ class FleetRouter:  # repro-lint: ignore[pickle-safety] never pickled — owns s
                     backend.rerouted_away += 1
                 if position + 1 < len(order):
                     # Re-route, don't shed: another replica may have capacity
-                    # (it pays a cold session for this catalog at worst —
-                    # the sync exchange warms it back up).
+                    # (at worst it pays a cold session for this catalog, or
+                    # one store-file load when backends share a store).
                     with self._stats_lock:
                         self._rerouted += 1
                     log_event(
@@ -404,7 +393,7 @@ class FleetRouter:  # repro-lint: ignore[pickle-safety] never pickled — owns s
     def stats(self):
         """Router gauges in the sidecar's expected shape (``as_dict`` + ``shards``)."""
         with self._stats_lock:
-            stats = RouterStats(
+            return RouterStats(
                 backends=len(self._backends),
                 backends_healthy=sum(
                     1 for backend in self._backends.values() if backend.healthy
@@ -416,9 +405,6 @@ class FleetRouter:  # repro-lint: ignore[pickle-safety] never pickled — owns s
                 shed=self._shed,
                 errors=self._errors,
             )
-        if self.exchanger is not None:
-            stats.sync_rounds, stats.sync_sessions_moved = self.exchanger.totals()
-        return stats
 
     def readiness(self):
         """``(ready, detail)``: ready while at least one backend is healthy."""
@@ -434,25 +420,6 @@ class FleetRouter:  # repro-lint: ignore[pickle-safety] never pickled — owns s
             return False, {"reason": "no healthy backends"}
         return True, {"backends": len(self._backends), "healthy": len(healthy)}
 
-    def attach_exchanger(self, interval=None):
-        """Create (and on an ``interval``, start) the fleet sync exchanger.
-
-        The exchanger shares the router's per-backend clients, so a backend
-        that fails a sync round is also marked unhealthy for routing.
-        """
-        from repro.service.fleet.exchange import SyncExchanger
-
-        self.exchanger = SyncExchanger(
-            list(self._backends),
-            self.client_for_name,
-            interval=interval,
-            event_log=self.event_log,
-            on_health=lambda name, healthy: self._mark(self._backends[name], healthy),
-        )
-        if interval is not None:
-            self.exchanger.start()
-        return self.exchanger
-
     # ------------------------------------------------------------------ #
     # lifecycle
     # ------------------------------------------------------------------ #
@@ -461,8 +428,6 @@ class FleetRouter:  # repro-lint: ignore[pickle-safety] never pickled — owns s
         if self._closed.is_set():
             return
         self._closed.set()
-        if self.exchanger is not None:
-            self.exchanger.stop()
         try:
             self._listener.shutdown(socket.SHUT_RDWR)
         except OSError:

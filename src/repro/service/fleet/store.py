@@ -2,9 +2,9 @@
 
 Single-file snapshots warm-restart one process.  A fleet needs the same
 warmth *shared*: any backend (or a brand-new replica scaling up) should
-boot from whatever the fleet has already learned.  The store is a
-directory — local disk for one host, a network mount for many — laid out
-by structural constraint digest::
+serve whatever the fleet has already learned.  The store is a directory —
+local disk for one host, a network mount for many — laid out by structural
+constraint digest::
 
     <root>/<digest[:2]>/<digest>.snap
 
@@ -12,15 +12,17 @@ Each file is an ordinary snapshot (:func:`~repro.service.snapshots.
 write_snapshot`: checked header, atomic temp-file + fsync + rename) holding
 one session document, so concurrent savers on different sessions never
 conflict and two backends racing on the *same* digest just last-write-win
-a consistent file.  Loading reuses :meth:`~repro.service.service.
-OptimizerService.recover_caches` per file: a stale session is skipped by
-the merge's digest check, an unreadable file costs a counted recovery and
-a cold start for that one catalog — never a boot failure.
+a consistent file.  Reading is lazy: a service built with the store loads
+``path_for(digest)`` when a request first creates that digest's session,
+through :meth:`~repro.service.service.OptimizerService.recover_caches`.
+A stale session is skipped by the merge's digest check, an unreadable file
+costs a counted recovery and a cold start for that one catalog, and a
+missing file is a plain cold start.  The directory has the trust level of
+a ``--snapshot`` file: the operator owns it, and no socket writes into it.
 """
 
 from __future__ import annotations
 
-import glob
 import os
 
 from repro.errors import SnapshotError
@@ -32,8 +34,8 @@ class SnapshotStore:
 
     The digest-keyed layout is what makes sharing safe: a file's *name* is
     the structural identity of the constraint set inside it, so savers on
-    different catalogs write different files, and a loader knows what a
-    file claims to contain before reading it.
+    different catalogs write different files, and a service that meets a
+    new catalog knows which one file to read without listing the store.
     """
 
     def __init__(self, root):
@@ -42,10 +44,6 @@ class SnapshotStore:
     def path_for(self, digest):
         """The session file for a constraint digest (two-level fan-out)."""
         return os.path.join(self.root, digest[:2], f"{digest}.snap")
-
-    def files(self):
-        """Every session file currently in the store, sorted for determinism."""
-        return sorted(glob.glob(os.path.join(self.root, "*", "*.snap")))
 
     def save(self, documents, faults=None):
         """Write each session document to its digest-keyed file; returns count.
@@ -69,23 +67,6 @@ class SnapshotStore:
                 ) from error
             write_snapshot(path, [document], faults=faults)
         return len(documents)
-
-    def restore(self, service):
-        """Warm ``service`` from every readable, fresh session in the store.
-
-        Returns ``(sessions_restored, failed_files)``.  Per-file
-        degradation via :meth:`~repro.service.service.OptimizerService.
-        recover_caches`: corruption or staleness in one catalog's file
-        never blocks the rest of the store.
-        """
-        restored = 0
-        failures = 0
-        for path in self.files():
-            sessions, error = service.recover_caches(path)
-            restored += sessions
-            if error is not None:
-                failures += 1
-        return restored, failures
 
 
 class StoreSaver:

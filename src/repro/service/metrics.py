@@ -109,6 +109,9 @@ class ServiceStats:
     snapshot that could not be loaded (missing/corrupt/wrong version) and
     ``stale_sessions`` the per-session loads skipped because their
     recomputed constraint digest no longer matched the recorded one.
+    ``snapshots_loaded`` / ``sessions_restored`` count the files read
+    (``--snapshot`` at boot, snapshot-store files on a session miss) and
+    the sessions they installed.
     """
 
     shards: list = field(default_factory=list)
@@ -119,11 +122,6 @@ class ServiceStats:
     stale_sessions: int = 0
     snapshots_loaded: int = 0
     sessions_restored: int = 0
-    sync_exports: int = 0
-    sync_sessions_exported: int = 0
-    sync_merges: int = 0
-    sync_sessions_merged: int = 0
-    sync_rejected: int = 0
     latencies: list = field(default_factory=list, repr=False)
 
     @property
@@ -205,11 +203,6 @@ class ServiceStats:
             "stale_sessions": self.stale_sessions,
             "snapshots_loaded": self.snapshots_loaded,
             "sessions_restored": self.sessions_restored,
-            "sync_exports": self.sync_exports,
-            "sync_sessions_exported": self.sync_sessions_exported,
-            "sync_merges": self.sync_merges,
-            "sync_sessions_merged": self.sync_sessions_merged,
-            "sync_rejected": self.sync_rejected,
             "cache_hits": self.cache_hits,
             "cache_misses": self.cache_misses,
             "cache_evictions": self.cache_evictions,
@@ -243,11 +236,6 @@ class MetricsCollector:  # repro-lint: ignore[pickle-safety] never pickled — s
         self._stale_sessions = 0  # guarded-by: _lock
         self._snapshots_loaded = 0  # guarded-by: _lock
         self._sessions_restored = 0  # guarded-by: _lock
-        self._sync_exports = 0  # guarded-by: _lock
-        self._sync_sessions_exported = 0  # guarded-by: _lock
-        self._sync_merges = 0  # guarded-by: _lock
-        self._sync_sessions_merged = 0  # guarded-by: _lock
-        self._sync_rejected = 0  # guarded-by: _lock
 
     def record(self, metrics):
         with self._lock:
@@ -277,39 +265,10 @@ class MetricsCollector:  # repro-lint: ignore[pickle-safety] never pickled — s
             self._snapshots_loaded += 1
             self._sessions_restored += sessions
 
-    def record_sync_export(self, sessions):
-        """Count one fleet sync export and the hot ``sessions`` it shipped."""
-        with self._lock:
-            self._sync_exports += 1
-            self._sync_sessions_exported += sessions
-
-    def record_sync_merge(self, merged, rejected):
-        """Count one fleet sync merge: sessions folded in vs. rejected.
-
-        Rejections are digest-mismatch (the peer's constraint set is not the
-        one this digest names — its fixpoints are unusable here) or
-        malformed entries; both are skipped, never partially merged.
-        """
-        with self._lock:
-            self._sync_merges += 1
-            self._sync_sessions_merged += merged
-            self._sync_rejected += rejected
-
     def snapshot(self):
         """Return ``(requests, errors, rejected, recent latencies)`` as copies."""
         with self._lock:
             return self._requests, self._errors, self._rejected, list(self._latencies)
-
-    def sync_snapshot(self):
-        """Return the fleet-sync counters as one consistent tuple."""
-        with self._lock:
-            return (
-                self._sync_exports,
-                self._sync_sessions_exported,
-                self._sync_merges,
-                self._sync_sessions_merged,
-                self._sync_rejected,
-            )
 
     def recovery_snapshot(self):
         """Return ``(recoveries, stale_sessions, snapshots_loaded, sessions_restored)``."""

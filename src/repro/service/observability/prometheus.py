@@ -36,21 +36,14 @@ _HELP = {
     "runner_failures": "Requests whose runner thread died executing them.",
     "recoveries": "Cold-start recoveries from unusable snapshots.",
     "stale_sessions": "Snapshot sessions skipped for changed constraints.",
-    "snapshots_loaded": "Successful snapshot loads.",
-    "sessions_restored": "Warm sessions restored from snapshots.",
-    "sync_exports": "Fleet sync exports answered (delta rounds).",
-    "sync_sessions_exported": "Hot sessions shipped to fleet peers.",
-    "sync_merges": "Fleet sync merges applied.",
-    "sync_sessions_merged": "Peer sessions folded into local caches.",
-    "sync_rejected": "Peer sync entries rejected (digest mismatch/malformed).",
+    "snapshots_loaded": "Successful snapshot and store-file loads.",
+    "sessions_restored": "Warm sessions restored from snapshots and the store.",
     "routed": "Requests forwarded to a backend by the fleet router.",
     "rerouted": "Overloaded responses re-routed to another replica.",
     "failovers": "Requests re-dispatched after a backend transport failure.",
     "shed": "Requests returned overloaded (no replica had capacity).",
     "backends": "Backends configured on the fleet router's ring.",
     "backends_healthy": "Backends that answered their last probe or request.",
-    "sync_rounds": "Cache/memo exchange rounds driven by the router.",
-    "sync_sessions_moved": "Session deltas relayed between backends.",
     "cache_hits": "Chase-cache hits across all sessions.",
     "cache_misses": "Chase-cache misses across all sessions.",
     "cache_evictions": "Chase-cache LRU evictions.",

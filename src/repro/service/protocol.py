@@ -24,17 +24,10 @@ metadata), ``"error"`` (decode or engine failure), or ``"overloaded"``
 (admission rejected the request — retry after backing off; nothing was
 executed).
 
-Fleet sync: ``{"op": "sync", "mode": "export"}`` asks a backend for the
-cache/memo deltas of its hot sessions; ``{"op": "sync", "mode": "merge",
-"sessions": [...]}`` offers a peer's deltas for merging.  Each session
-entry is a plain JSON object, one :mod:`~repro.service.codec` session
-document (``label``, the advertised ``constraints_digest``, and a node
-table encoding the exact constraint set, the new chase-cache entries with
-their restriction tables, and the new containment verdicts).  The
-receiver decodes it with the codec's checked decoder, *recomputes* the
-digest from the decoded constraints and rejects the whole entry when
-either step fails — exchanged fixpoints and verdicts are only valid under
-the dependency set they were computed with.
+Warm state never travels over this protocol: any other ``op`` gets an
+``unknown op`` error record.  Processes share chase fixpoints and
+containment verdicts only through files the operator owns (``--snapshot``
+and the ``--snapshot-store`` directory).
 """
 
 from __future__ import annotations
@@ -178,42 +171,6 @@ def serving_record(host, port):
     return {"serving": {"host": host, "port": port}}
 
 
-# --------------------------------------------------------------------- #
-# fleet sync (cross-process cache/memo exchange)
-# --------------------------------------------------------------------- #
-def sync_export_request(request_id=None):
-    """The control line asking a backend for its hot sessions' deltas."""
-    record = {"op": "sync", "mode": "export"}
-    if request_id is not None:
-        record["id"] = request_id
-    return record
-
-
-def sync_merge_request(sessions, request_id=None):
-    """The control line offering a peer's exported deltas for merging."""
-    record = {"op": "sync", "mode": "merge", "sessions": list(sessions)}
-    if request_id is not None:
-        record["id"] = request_id
-    return record
-
-
-def sync_record(request_id, sessions=None, merged=None, rejected=None):
-    """The typed reply to ``{"op": "sync"}`` (both modes).
-
-    An export reply carries ``sessions`` (the wire entries); a merge reply
-    carries ``merged`` (sessions folded in) and ``rejected``
-    (digest-mismatch or malformed entries skipped and counted).
-    """
-    record = {"id": request_id, "sync": True}
-    if sessions is not None:
-        record["sessions"] = sessions
-    if merged is not None:
-        record["merged"] = merged
-    if rejected is not None:
-        record["rejected"] = rejected
-    return record
-
-
 def obs_check_record(problems):
     """The ``obs-check`` subcommand's verdict line (empty problems = pass)."""
     return {
@@ -263,7 +220,4 @@ __all__ = [
     "serving_record",
     "stats_record",
     "stats_request",
-    "sync_export_request",
-    "sync_merge_request",
-    "sync_record",
 ]

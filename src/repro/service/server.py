@@ -45,7 +45,6 @@ from repro.service.protocol import (
     overloaded_record,
     pong_record,
     stats_record,
-    sync_record,
 )
 from repro.service.service import OptimizerService
 
@@ -294,36 +293,8 @@ class OptimizerServer:  # repro-lint: ignore[pickle-safety] never pickled — ow
             connection.send(stats_record(self.service.stats().as_dict(), request_id))
         elif op == "ping":
             connection.send(pong_record(request_id))
-        elif op == "sync":
-            self._handle_sync(connection, record, request_id)
         else:
             connection.send(error_record(request_id, f"unknown op {op!r}"))
-
-    def _handle_sync(self, connection, record, request_id):
-        """The fleet exchange op: export this backend's deltas or merge a peer's.
-
-        Answered inline like the other control ops — exports and merges are
-        marker-bounded delta work, not engine runs, so they never contend
-        with admission.  A malformed merge payload degrades per-entry (the
-        service counts rejections); only a structurally invalid record (no
-        usable ``sessions`` list) earns an error response.
-        """
-        mode = record.get("mode")
-        if mode == "export":
-            connection.send(
-                sync_record(request_id, sessions=self.service.export_sync())
-            )
-        elif mode == "merge":
-            sessions = record.get("sessions")
-            if not isinstance(sessions, list):
-                connection.send(
-                    error_record(request_id, "sync merge needs a 'sessions' list")
-                )
-                return
-            merged, rejected = self.service.merge_sync(sessions)
-            connection.send(sync_record(request_id, merged=merged, rejected=rejected))
-        else:
-            connection.send(error_record(request_id, f"unknown sync mode {mode!r}"))
 
     # ------------------------------------------------------------------ #
     # lifecycle

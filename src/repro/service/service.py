@@ -17,6 +17,10 @@ layer:
   shard's worker pool through a per-request
   :class:`~repro.service.scheduler.ScheduledPool`; each request waits on
   its own futures.
+* **Store read-through.**  With a shared
+  :class:`~repro.service.fleet.store.SnapshotStore`, a request that creates
+  its session first loads that constraint digest's store file, so a process
+  serves warm state that any fleet member saved.
 
 Plan sets are signature-identical to a fresh
 :class:`~repro.chase.optimizer.CBOptimizer` run with the same knobs: the
@@ -44,10 +48,10 @@ import time
 from concurrent.futures import Future
 from dataclasses import dataclass, field
 
-from repro.errors import CodecError, ServiceOverloaded, SnapshotError
+from repro.errors import ServiceOverloaded, SnapshotError
 from repro.chase.implication import constraints_digest
 from repro.chase.optimizer import STRATEGIES
-from repro.service.codec import Session, decode_session, encode_session
+from repro.service.codec import Session, encode_session
 from repro.service.metrics import MetricsCollector, ServiceStats
 from repro.service.observability.events import log_event
 from repro.service.protocol import plan_digest
@@ -187,6 +191,12 @@ class OptimizerService:  # repro-lint: ignore[pickle-safety] never pickled — e
         the service emits ``request.admitted`` / ``request.rejected`` /
         ``request.completed`` events (shards add runner crash/restart,
         snapshot loads add ``snapshot.loaded`` / ``snapshot.recovered``).
+    store:
+        Optional :class:`~repro.service.fleet.store.SnapshotStore`.  When a
+        request creates its session, the runner first loads
+        ``store.path_for(digest)`` through :meth:`recover_caches`: a bad
+        file costs a counted recovery and a cold start, and a missing file
+        is a plain cold start, counted nowhere.
     """
 
     def __init__(
@@ -203,6 +213,7 @@ class OptimizerService:  # repro-lint: ignore[pickle-safety] never pickled — e
         fault_injector=None,
         tracer=None,
         event_log=None,
+        store=None,
     ):
         if shards < 1:
             raise ValueError(f"shards must be >= 1, got {shards!r}")
@@ -210,6 +221,7 @@ class OptimizerService:  # repro-lint: ignore[pickle-safety] never pickled — e
         self.fault_injector = fault_injector
         self.tracer = tracer
         self.event_log = event_log
+        self.store = store
         self._shards = [
             Shard(
                 shard_id,
@@ -222,6 +234,7 @@ class OptimizerService:  # repro-lint: ignore[pickle-safety] never pickled — e
                 overload_retry_after=overload_retry_after,
                 fault_injector=fault_injector,
                 event_log=event_log,
+                on_new_session=self._read_through if store is not None else None,
             )
             for shard_id in range(shards)
         ]
@@ -229,11 +242,6 @@ class OptimizerService:  # repro-lint: ignore[pickle-safety] never pickled — e
         self._request_ids = itertools.count(1)
         self._lock = threading.Lock()
         self._closed = False  # guarded-by: _lock
-        #: Per-session delta markers for export_sync (signature ->
-        #: {"caches": {cache_sig: marker}, "memo": marker}), so each sync
-        #: round ships only what was learned since the previous one.
-        self._sync_markers = {}  # guarded-by: _sync_lock
-        self._sync_lock = threading.Lock()
 
     # ------------------------------------------------------------------ #
     # admission
@@ -382,13 +390,6 @@ class OptimizerService:  # repro-lint: ignore[pickle-safety] never pickled — e
         recoveries, stale_sessions, snapshots_loaded, sessions_restored = (
             self._metrics.recovery_snapshot()
         )
-        (
-            sync_exports,
-            sync_sessions_exported,
-            sync_merges,
-            sync_sessions_merged,
-            sync_rejected,
-        ) = self._metrics.sync_snapshot()
         return ServiceStats(
             shards=[shard.stats() for shard in self._shards],
             requests=requests,
@@ -398,11 +399,6 @@ class OptimizerService:  # repro-lint: ignore[pickle-safety] never pickled — e
             stale_sessions=stale_sessions,
             snapshots_loaded=snapshots_loaded,
             sessions_restored=sessions_restored,
-            sync_exports=sync_exports,
-            sync_sessions_exported=sync_sessions_exported,
-            sync_merges=sync_merges,
-            sync_sessions_merged=sync_sessions_merged,
-            sync_rejected=sync_rejected,
             latencies=latencies,
         )
 
@@ -429,32 +425,22 @@ class OptimizerService:  # repro-lint: ignore[pickle-safety] never pickled — e
     # ------------------------------------------------------------------ #
     # warm state: one export path and one merge path for every sink
     # ------------------------------------------------------------------ #
-    def export_sessions(self, markers=None):
+    def export_sessions(self):
         """Every warm session as a session document — the one export path.
 
-        ``markers=None`` exports each session whole (snapshots and the
-        snapshot store).  Otherwise ``markers`` maps a session's signature
-        to its delta markers: only what it learned since is exported, the
-        markers advance, and sessions with nothing new are skipped (fleet
-        sync).  Entries are copied under their owner's lock, so this is
-        safe under traffic; an entry landing mid-export may ship twice,
-        which merging absorbs.
+        Entries are copied under their owner's lock, so this is safe under
+        traffic; an entry landing mid-export may simply be missed.
         """
         documents = []
         for shard in self._shards:
             for session in shard.sessions():
-                mark = {"caches": {}, "memo": 0}
-                if markers is not None:
-                    mark = markers.setdefault(session.signature, mark)
-                caches, cache_marks = session.registry.export_entries(mark["caches"])
-                memo_mark = session.memo.snapshot()
-                verdicts = session.memo.export_since(mark["memo"])
-                mark["caches"].update(cache_marks)
-                mark["memo"] = memo_mark
-                if markers is not None and not caches and not verdicts:
-                    continue
-                digest = constraints_digest(session.signature)
-                state = Session(session.label, digest, tuple(session.signature), caches, verdicts)
+                state = Session(
+                    session.label,
+                    constraints_digest(session.signature),
+                    tuple(session.signature),
+                    session.registry.export_entries(),
+                    session.memo.export(),
+                )
                 documents.append(encode_session(state))
         return documents
 
@@ -467,14 +453,18 @@ class OptimizerService:  # repro-lint: ignore[pickle-safety] never pickled — e
         Otherwise the session routes like live traffic (so the shard count
         may differ from the exporter's) and merges idempotently into
         ``session_for`` under that shard's cache, memo and session bounds,
-        leaving this service's hit/miss counters untouched.
+        leaving this service's hit/miss counters untouched; the target is
+        then marked loaded, so requests waiting on it run warm.
         """
         constraints = session.constraints
         if constraints_digest(constraints) != session.constraints_digest:
             return False
-        target = self._shards[shard_index(constraints, len(self._shards))].session_for(constraints)
+        target, _ = self._shards[shard_index(constraints, len(self._shards))].session_for(
+            constraints
+        )
         target.registry.merge_entries(session.caches)
         target.memo.merge_exported(session.verdicts)
+        target.loaded.set()
         return True
 
     def save_caches(self, path, faults=None):
@@ -542,39 +532,16 @@ class OptimizerService:  # repro-lint: ignore[pickle-safety] never pickled — e
             )
             return 0, error
 
-    def export_sync(self):
-        """The ``sync`` export: one document per session that learned
-        anything since the previous call.  The markers live here, so calls
-        are incremental whoever drives them; concurrent calls take turns."""
-        with self._sync_lock:
-            exported = self.export_sessions(self._sync_markers)
-        self._metrics.record_sync_export(len(exported))
-        log_event(self.event_log, "sync.exported", sessions=len(exported))
-        return exported
+    def _read_through(self, constraints):
+        """Load the store file of a session a request just created.
 
-    def merge_sync(self, documents):
-        """Merge a peer's :meth:`export_sync` documents; returns ``(merged, rejected)``.
-
-        A document that does not decode, or whose recomputed digest
-        disagrees with the advertised one, is rejected whole — counted,
-        never partially merged, never raised.  Accepted documents go
-        through :meth:`_merge`, so a replica warms catalogs it never served.
+        Runs on the request's runner thread, outside the shard lock.  The
+        file goes through :meth:`recover_caches`, whose merge reaches
+        ``session_for`` without this hook, so one load never starts another.
         """
-        merged = 0
-        rejected = 0
-        for document in documents:
-            with self._lock:
-                if self._closed:
-                    break
-            try:
-                accepted = self._merge(decode_session(document))
-            except CodecError:
-                accepted = False
-            merged += accepted
-            rejected += not accepted
-        self._metrics.record_sync_merge(merged, rejected)
-        log_event(self.event_log, "sync.merged", sessions=merged, rejected=rejected)
-        return merged, rejected
+        path = self.store.path_for(constraints_digest(constraints))
+        if os.path.exists(path):
+            self.recover_caches(path)
 
     def shutdown(self, wait=True):
         """Drain every shard and release the pools (idempotent)."""

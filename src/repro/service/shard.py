@@ -70,8 +70,8 @@ def shard_index(constraints, shard_count):
     (``hash()`` is salted per process).  It used to hash only the sorted
     dependency *names*, so two constraint sets with identical names but
     different bodies aliased to the same placement — wrong for anything that
-    keys cache validity on the set's structure (snapshots, the fleet ring,
-    cross-process sync all use the same digest).
+    keys cache validity on the set's structure (snapshots, the fleet ring
+    and the snapshot store's file names all use the same digest).
     """
     digest = constraints_digest(constraints)
     return int(digest[:16], 16) % max(1, shard_count)
@@ -89,7 +89,14 @@ def session_label(constraints):
 
 @dataclass
 class ShardSession:
-    """Warm per-constraint-set state kept alive between requests."""
+    """Warm per-constraint-set state kept alive between requests.
+
+    ``loaded`` is set once the session's warm state is in: by the request
+    that created it, after reading its store file; by a merge that filled
+    it; or at creation when the shard has no read-through.  Requests wait
+    on it, so one that meets a session another request is still loading
+    runs on the loaded state rather than on a cold one.
+    """
 
     label: str
     signature: object
@@ -97,6 +104,7 @@ class ShardSession:
     memo: ContainmentMemo
     requests: int = 0
     created_at: float = field(default_factory=time.monotonic)
+    loaded: threading.Event = field(default_factory=threading.Event, repr=False)
 
 
 class _RunnerTask:
@@ -160,8 +168,9 @@ class Shard:  # repro-lint: ignore[pickle-safety] never pickled — the session 
         accumulate one session (and its cache registry) per configuration
         forever.  Eviction only unlinks the session from the shard — a
         request already running against it keeps its own reference and
-        completes safely; the next request for that catalog simply starts
-        cold again.
+        completes safely; the next request for that catalog starts cold
+        again, or reads its snapshot-store file again when the service has
+        a store.
     overload_retry_after:
         Optional back-off hint (seconds) attached to admission rejections
         and surfaced on ``overloaded`` responses for retrying clients.
@@ -171,6 +180,11 @@ class Shard:  # repro-lint: ignore[pickle-safety] never pickled — the session 
     event_log:
         Optional :class:`~repro.service.observability.events.EventLog`;
         the shard emits ``runner.crashed`` / ``runner.restarted`` events.
+    on_new_session:
+        Optional ``constraints -> None`` callable that a runner calls, outside
+        the lock and before the engine runs, when its request created the
+        session (the service's snapshot-store read-through); other requests
+        for that session wait until it returns.
     supervisor_interval:
         Seconds between supervisor sweeps for silently-dead runners.
     """
@@ -187,6 +201,7 @@ class Shard:  # repro-lint: ignore[pickle-safety] never pickled — the session 
         overload_retry_after=None,
         fault_injector=None,
         event_log=None,
+        on_new_session=None,
         supervisor_interval=0.25,
     ):
         if max_sessions is not None and max_sessions < 1:
@@ -207,6 +222,7 @@ class Shard:  # repro-lint: ignore[pickle-safety] never pickled — the session 
         )
         self._faults = fault_injector
         self._event_log = event_log
+        self._on_new_session = on_new_session
         # get() stays untimed: SimpleQueue.get(timeout=...) can hang on CPython 3.11 (perfbench/stall_check.py)
         self._tasks = queue.SimpleQueue()
         self._sessions = OrderedDict()  # guarded-by: _lock
@@ -233,24 +249,27 @@ class Shard:  # repro-lint: ignore[pickle-safety] never pickled — the session 
     # sessions
     # ------------------------------------------------------------------ #
     def session_for(self, constraints):
-        """Return (creating on first use) the session for ``constraints``."""
+        """Return the session for ``constraints`` and whether this call created it."""
         signature = constraint_signature(constraints)
         with self._lock:
             session = self._sessions.get(signature)
-            if session is None:
+            created = session is None
+            if created:
                 session = ShardSession(
                     label=session_label(constraints),
                     signature=signature,
                     registry=ChaseCacheRegistry(max_entries=self.max_cache_entries),
                     memo=ContainmentMemo(max_entries=self.max_memo_entries),
                 )
+                if self._on_new_session is None:
+                    session.loaded.set()
                 self._sessions[signature] = session
                 while self.max_sessions is not None and len(self._sessions) > self.max_sessions:
                     self._sessions.popitem(last=False)
                     self._sessions_evicted += 1
             else:
                 self._sessions.move_to_end(signature)
-            return session
+            return session, created
 
     def sessions(self):
         """Every warm session, least recently used first (the export source)."""
@@ -425,7 +444,13 @@ class Shard:  # repro-lint: ignore[pickle-safety] never pickled — the session 
         try:
             maybe_fail(self._faults, "shard.execute", detail=request.request_id)
             constraints = request.resolved_constraints()
-            session = self.session_for(constraints)
+            session, created = self.session_for(constraints)
+            if created and self._on_new_session is not None:
+                try:
+                    self._on_new_session(constraints)
+                finally:
+                    session.loaded.set()
+            session.loaded.wait()
             with self._lock:
                 session.requests += 1
             stats_before = session.registry.stats()

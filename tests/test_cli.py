@@ -29,18 +29,18 @@ class TestParser:
 
     def test_route_arguments(self):
         args = build_parser().parse_args(
-            [
-                "route",
-                "--backend", "127.0.0.1:7411",
-                "--backend", ":7412",
-                "--port", "0",
-                "--sync-interval", "5",
-            ]
+            ["route", "--backend", "127.0.0.1:7411", "--backend", ":7412", "--port", "0"]
         )
         assert args.command == "route"
         assert args.backend == ["127.0.0.1:7411", ":7412"]
-        assert args.sync_interval == 5.0
         assert args.ring_replicas == 64  # the ring default rides the parser
+
+    def test_route_has_no_sync_interval(self):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(
+                ["route", "--backend", "127.0.0.1:7411", "--sync-interval", "5"]
+            )
+        assert exit_info.value.code == 2
 
     def test_route_requires_a_backend(self):
         with pytest.raises(SystemExit):

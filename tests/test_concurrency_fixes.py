@@ -121,45 +121,40 @@ class TestChaseCacheAccounting:
         mutator.start()
         try:
             for _ in range(ROUNDS):
-                merged.merge(donor)  # snapshots under donor._lock: no tear
+                # export_since copies under donor._lock: no tear
+                merged.merge_exported(donor.export_since(0))
         finally:
             stop.set()
             mutator.join(timeout=30.0)
-        merged.merge(donor)
+        merged.merge_exported(donor.export_since(0))
         assert len(merged) == len(donor)
 
 
-class TestContainmentMemoAccounting:
-    """len() and hit_rate take the lock (no mid-insert observation)."""
+class TestContainmentMemoExport:
+    """``export()`` copies under the memo's lock (no mid-insert iteration)."""
 
-    def test_hit_rate_never_observes_torn_counters(self):
-        memo = ContainmentMemo()
+    def test_export_from_a_live_donor(self):
+        donor = ContainmentMemo()
+        merged = ContainmentMemo()
         stop = threading.Event()
-        torn = []
 
-        def reader():
+        def writer():
+            serial = 0
             while not stop.is_set():
-                rate = memo.hit_rate
-                if rate not in (0.0, 0.5):
-                    torn.append(rate)
+                donor.merge_exported([((f"s{serial}", "t"), serial % 2 == 0)])
+                serial += 1
 
-        observer = threading.Thread(target=reader)
-        observer.start()
-
-        def worker(i):
-            donor = ContainmentMemo()
-            donor.hits = 1
-            donor.misses = 1
-            for j in range(ROUNDS):
-                donor._verdicts = {(f"s{i}", f"t{j}"): True}
-                memo.merge(donor)
-
-        _hammer(worker)
-        stop.set()
-        observer.join(timeout=30.0)
-        assert torn == []
-        assert memo.hit_rate == 0.5
-        assert len(memo) == memo.stats()["entries"] == THREADS * ROUNDS
+        mutator = threading.Thread(target=writer)
+        mutator.start()
+        try:
+            for _ in range(ROUNDS):
+                merged.merge_exported(donor.export())
+        finally:
+            stop.set()
+            mutator.join(timeout=30.0)
+        merged.merge_exported(donor.export())
+        assert merged.export() == donor.export()
+        assert len(merged) == merged.stats()["entries"] == len(donor)
 
 
 class TestClientClosedFlag:

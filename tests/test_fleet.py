@@ -1,4 +1,4 @@
-"""Fleet layer: consistent-hash routing, sync exchange, shared snapshot store.
+"""Fleet layer: consistent-hash routing and the shared snapshot store.
 
 The differential discipline of :mod:`tests.test_differential` extended to
 the fleet: a router in front of N backend servers must be *invisible* —
@@ -9,18 +9,21 @@ while the behaviours that make a fleet worth running stay observable:
   not shed (and shed only when *every* backend rejects);
 * a dead backend fails over and flips the health gauge, never an error to
   the client while a replica lives;
-* the ``sync`` exchange moves chase-cache entries and containment verdicts
-  between processes, guarded by the structural constraint digest — a
-  tampered digest is rejected whole;
-* the shared snapshot store warms a *fresh* process from any fleet
-  member's saves, degrading per file on corruption.
+* the shared snapshot store is read through on a session miss: a *fresh*
+  process serves any fleet member's saved sessions warm on first contact,
+  a corrupt or stale file costs that one catalog a counted cold start, and
+  a missing file is a plain cold start.
 
-Plus the routing-identity regressions this PR fixes: constraint sets whose
-names collide but whose bodies differ must never alias (shard index,
-session label, ring placement), and a server's ``retry_after`` hint must be
-honoured exactly rather than clamped into the jitter schedule.
+Plus the routing-identity regressions: constraint sets whose names collide
+but whose bodies differ must never alias (shard index, session label, ring
+placement), and a server's ``retry_after`` hint must be honoured exactly
+rather than clamped into the jitter schedule.
 """
 
+import glob
+import io
+import json
+import os
 import random
 import threading
 import time
@@ -29,18 +32,11 @@ import pytest
 
 from repro.chase.implication import constraints_digest
 from repro.schema.constraints import Dependency
-from repro.service import OptimizerClient, OptimizerServer, OptimizerService
-from repro.service.fleet import (
-    FleetRouter,
-    HashRing,
-    SnapshotStore,
-    StoreSaver,
-    SyncExchanger,
-    parse_backend,
-)
+from repro.service import EventLog, OptimizerClient, OptimizerServer, OptimizerService
+from repro.service.fleet import FleetRouter, HashRing, SnapshotStore, StoreSaver, parse_backend
 from repro.service.protocol import WORKLOAD_BUILDERS, plan_digest
 from repro.service.shard import session_label, shard_index
-from repro.service.snapshots import SnapshotManager
+from repro.service.snapshots import SnapshotManager, write_snapshot
 from repro.workloads import build_ec2
 
 #: Generous bound for every join/wait in this module: a hang is a bug.
@@ -465,178 +461,179 @@ class TestOverloadReroute:
 
 
 # ---------------------------------------------------------------------- #
-# the sync exchange: digest-guarded cross-process cache/memo movement
-# ---------------------------------------------------------------------- #
-class TestSyncExchange:
-    def test_digest_mismatch_is_rejected_whole(self):
-        workload = build_ec2(1, 3, 1)
-        with OptimizerService(shards=1) as source:
-            source.submit(
-                workload.query, catalog=workload.catalog
-            ).result().raise_for_error()
-            exported = source.export_sync()
-        assert exported  # the warm session produced deltas
-        tampered = [dict(entry, constraints_digest="0" * 64) for entry in exported]
-        with OptimizerService(shards=1) as target:
-            merged, rejected = target.merge_sync(tampered)
-            assert (merged, rejected) == (0, len(tampered))
-            # Malformed entries are rejected the same way, not raised.
-            merged, rejected = target.merge_sync([{"digest": "x", "data": "!!"}])
-            assert (merged, rejected) == (0, 1)
-            # The untampered export merges cleanly into the same service.
-            merged, rejected = target.merge_sync(exported)
-            assert (merged, rejected) == (len(exported), 0)
-            stats = target.stats()
-        assert stats.sync_rejected == len(tampered) + 1
-        assert stats.sync_sessions_merged == len(exported)
-
-    def test_exports_are_incremental(self):
-        workload = build_ec2(1, 3, 1)
-        with OptimizerService(shards=1) as service:
-            service.submit(
-                workload.query, catalog=workload.catalog
-            ).result().raise_for_error()
-            assert service.export_sync()  # first export ships the deltas
-            assert service.export_sync() == []  # nothing new since
-
-    def test_exchange_round_lets_the_peer_serve_warm(self):
-        """A catalog computed only on backend A: after one exchange round,
-        backend B's *first* request of it reuses A's chase fixpoints and
-        containment verdicts — same plans, measurably warmer."""
-        record = dict(EC2_REQUEST, id="warm")
-        with OptimizerServer(shards=1, workers=2) as server_a:
-            with OptimizerServer(shards=1, workers=2) as server_b:
-                names = [f"127.0.0.1:{server_a.port}", f"127.0.0.1:{server_b.port}"]
-                clients = {}
-                try:
-                    for name in names:
-                        host, port = parse_backend(name)
-                        clients[name] = OptimizerClient(host=host, port=port)
-                    cold = clients[names[0]].request(
-                        dict(record), timeout=JOIN_TIMEOUT
-                    )
-                    assert cold["status"] == "ok"
-                    exchanger = SyncExchanger(names, clients.__getitem__)
-                    assert exchanger.run_once(timeout=JOIN_TIMEOUT) >= 1
-                    warm = clients[names[1]].request(
-                        dict(record), timeout=JOIN_TIMEOUT
-                    )
-                    stats_b = server_b.service.stats()
-                finally:
-                    for client in clients.values():
-                        client.close()
-        assert warm["status"] == "ok"
-        assert warm["plan_digests"] == cold["plan_digests"]  # the differential bar
-        # B never computed this catalog, yet its first serve hit state that
-        # only A's run could have produced.
-        assert warm["memo_hits"] > cold["memo_hits"]
-        assert warm["cache_hits"] > cold["cache_hits"]
-        assert stats_b.sync_merges >= 1
-        assert stats_b.sync_sessions_merged >= 1
-        assert exchanger.totals()[0] == 1
-
-    def test_unreachable_backend_is_skipped_and_reported(self):
-        health = {}
-        with OptimizerServer(shards=1, workers=1) as server:
-            live = f"127.0.0.1:{server.port}"
-            dead_server = OptimizerServer(shards=1, workers=1)
-            dead = f"127.0.0.1:{dead_server.port}"
-            dead_server.stop()
-            clients = {}
-
-            def client_for(name):
-                if name not in clients:
-                    host, port = parse_backend(name)
-                    clients[name] = OptimizerClient(host=host, port=port)
-                return clients[name]
-
-            try:
-                exchanger = SyncExchanger(
-                    [live, dead],
-                    client_for,
-                    on_health=lambda name, healthy: health.__setitem__(name, healthy),
-                )
-                exchanger.run_once(timeout=JOIN_TIMEOUT)
-            finally:
-                for client in clients.values():
-                    client.close()
-        assert health[dead] is False
-        assert health[live] is True
-        assert exchanger.failures >= 1
-
-    def test_sync_interval_must_be_positive(self):
-        with pytest.raises(ValueError):
-            SyncExchanger(["a:1"], lambda name: None, interval=0)
-
-
-# ---------------------------------------------------------------------- #
 # the shared snapshot store
 # ---------------------------------------------------------------------- #
-class TestSnapshotStore:
-    @staticmethod
-    def _warm_service(service):
-        digests = []
-        for name, params, strategy in MIX[:2]:
-            builder, _ = WORKLOAD_BUILDERS[name]
-            workload = builder(**params)
-            response = service.submit(
-                workload.query, strategy=strategy, catalog=workload.catalog
-            ).result()
-            response.raise_for_error()
-            digests.append(constraints_digest(workload.catalog.constraints()))
-        return digests
+def _store_files(store):
+    return sorted(glob.glob(os.path.join(store.root, "*", "*.snap")))
 
+
+def _serve(service, entry):
+    """Serve one MIX entry; returns ``(response, plan digest, constraint digest)``."""
+    name, params, strategy = entry
+    builder, _ = WORKLOAD_BUILDERS[name]
+    workload = builder(**params)
+    response = service.submit(
+        workload.query, strategy=strategy, catalog=workload.catalog
+    ).result(timeout=JOIN_TIMEOUT)
+    response.raise_for_error()
+    return (
+        response,
+        plan_digest(response.result.plans),
+        constraints_digest(workload.catalog.constraints()),
+    )
+
+
+def _saved_store(tmp_path, entries):
+    """A store holding one file per entry, saved by a 1-shard service;
+    returns it with the saver's (cold) plan digests."""
+    store = SnapshotStore(tmp_path / "store")
+    with OptimizerService(shards=1, workers=1) as saver:
+        digests = [_serve(saver, entry)[1] for entry in entries]
+        assert StoreSaver(saver, store).save_caches("ignored-path") == len(entries)
+    return store, digests
+
+
+class TestSnapshotStore:
     def test_store_files_are_keyed_by_structural_digest(self, tmp_path):
         store = SnapshotStore(tmp_path / "store")
         with OptimizerService(shards=1) as service:
-            digests = self._warm_service(service)
+            digests = [_serve(service, entry)[2] for entry in MIX[:2]]
             saved = StoreSaver(service, store).save_caches("ignored-path")
         assert saved == len(digests)
-        assert store.files() == sorted(store.path_for(digest) for digest in digests)
-
-    def test_fresh_process_boots_warm_from_the_store(self, tmp_path):
-        """The scale-up contract: a brand-new service (different shard
-        count, nothing in common with the saver) restores every session any
-        fleet member stored."""
-        store = SnapshotStore(tmp_path / "store")
-        with OptimizerService(shards=1) as saver:
-            self._warm_service(saver)
-            StoreSaver(saver, store).save_caches("ignored-path")
-        with OptimizerService(shards=2) as fresh:
-            restored, failures = store.restore(fresh)
-            assert (restored, failures) == (2, 0)
-            assert fresh.stats().sessions_restored == 2
-            # The restored state actually serves: warm hits on first contact.
-            name, params, strategy = MIX[0]
-            builder, _ = WORKLOAD_BUILDERS[name]
-            workload = builder(**params)
-            response = fresh.submit(
-                workload.query, strategy=strategy, catalog=workload.catalog
-            ).result()
-            response.raise_for_error()
-            assert fresh.stats().cache_hits > 0
-
-    def test_corrupt_file_degrades_that_catalog_only(self, tmp_path):
-        store = SnapshotStore(tmp_path / "store")
-        with OptimizerService(shards=1) as saver:
-            self._warm_service(saver)
-            StoreSaver(saver, store).save_caches("ignored-path")
-        victim = store.files()[0]
-        with open(victim, "r+b") as handle:
-            handle.write(b"garbage-not-a-snapshot")
-        with OptimizerService(shards=1) as fresh:
-            restored, failures = store.restore(fresh)
-            stats = fresh.stats()
-        assert (restored, failures) == (1, 1)
-        assert stats.recoveries == 1  # counted, never a boot failure
+        assert _store_files(store) == sorted(store.path_for(digest) for digest in digests)
 
     def test_snapshot_manager_drives_the_store(self, tmp_path):
         """SnapshotManager's periodic/SIGUSR1/drain machinery needs no
         changes: the StoreSaver facade routes its saves into the store."""
         store = SnapshotStore(tmp_path / "store")
         with OptimizerService(shards=1) as service:
-            digests = self._warm_service(service)
+            digests = [_serve(service, entry)[2] for entry in MIX[:2]]
             manager = SnapshotManager(StoreSaver(service, store), store.root)
             assert manager.save() == len(digests)
             assert manager.snapshots_written == 1
-        assert len(store.files()) == len(digests)
+        assert len(_store_files(store)) == len(digests)
+
+    def test_corrupt_file_degrades_that_catalog_only(self, tmp_path):
+        """A corrupt file costs its catalog one counted recovery and a cold,
+        correct serve; the other catalog is still read warm."""
+        store, cold = _saved_store(tmp_path, MIX[:2])
+        builder, _ = WORKLOAD_BUILDERS[MIX[0][0]]
+        digest = constraints_digest(builder(**MIX[0][1]).catalog.constraints())
+        with open(store.path_for(digest), "r+b") as handle:
+            handle.write(b"garbage-not-a-snapshot")
+        with OptimizerService(shards=1, workers=1, store=store) as fresh:
+            (broken, broken_digest, _), (warm, warm_digest, _) = (
+                _serve(fresh, entry) for entry in MIX[:2]
+            )
+            stats = fresh.stats()
+        assert [broken_digest, warm_digest] == cold  # served, and correct
+        assert broken.metrics.cache_misses > 0  # cold
+        assert warm.metrics.cache_misses == warm.metrics.memo_misses == 0
+        assert stats.recoveries == 1
+        assert stats.sessions_restored == 1
+
+
+class TestStoreReadThrough:
+    def test_first_contact_reads_the_store_warm(self, tmp_path):
+        """The scale-up contract: a fresh service with a different shard
+        count serves every stored catalog warm on first contact, with the
+        plans of a cold run."""
+        store, cold = _saved_store(tmp_path, MIX)
+        with OptimizerService(shards=2, workers=1, store=store) as fresh:
+            served = [_serve(fresh, entry) for entry in MIX]
+            stats = fresh.stats()
+        assert [digest for _, digest, _ in served] == cold
+        for response, _, _ in served:
+            assert response.metrics.cache_misses == response.metrics.memo_misses == 0
+            assert response.metrics.cache_hits > 0
+        assert stats.snapshots_loaded == stats.sessions_restored == len(MIX)
+        assert stats.recoveries == stats.stale_sessions == 0
+
+    def test_a_stale_file_is_skipped_and_counted(self, tmp_path):
+        """A document whose advertised digest disagrees with its constraints
+        is not merged: that catalog starts cold, counted as stale."""
+        store, cold = _saved_store(tmp_path, MIX[:1])
+        (path,) = _store_files(store)
+        with open(path, "rb") as handle:
+            _header, document = handle.read().splitlines()
+        write_snapshot(path, [dict(json.loads(document), constraints_digest="0" * 64)])
+        with OptimizerService(shards=1, workers=1, store=store) as fresh:
+            response, digest, _ = _serve(fresh, MIX[0])
+            stats = fresh.stats()
+        assert digest == cold[0]
+        assert response.metrics.cache_misses > 0
+        assert stats.stale_sessions == 1
+        assert stats.sessions_restored == stats.recoveries == 0
+
+    def test_a_request_meeting_a_loading_session_waits_for_the_load(
+        self, tmp_path, monkeypatch
+    ):
+        """Two first contacts with one catalog, the load slowed down: one
+        request reads the file, the other waits for it, and both run warm."""
+        store, cold = _saved_store(tmp_path, MIX[:1])
+        recover = OptimizerService.recover_caches
+
+        def slow_recover(self, path):
+            time.sleep(0.2)
+            return recover(self, path)
+
+        monkeypatch.setattr(OptimizerService, "recover_caches", slow_recover)
+        name, params, strategy = MIX[0]
+        workload = WORKLOAD_BUILDERS[name][0](**params)
+        with OptimizerService(shards=1, workers=1, max_inflight=2, store=store) as fresh:
+            futures = [
+                fresh.submit(workload.query, strategy=strategy, catalog=workload.catalog)
+                for _ in range(2)
+            ]
+            responses = [future.result(timeout=JOIN_TIMEOUT) for future in futures]
+            stats = fresh.stats()
+        for response in responses:
+            response.raise_for_error()
+            assert plan_digest(response.result.plans) == cold[0]
+            assert response.metrics.cache_misses == response.metrics.memo_misses == 0
+        assert stats.snapshots_loaded == stats.sessions_restored == 1
+
+    def test_sessions_from_a_boot_snapshot_serve_beside_the_store(self, tmp_path):
+        """A ``--snapshot`` load creates its sessions through the merge path,
+        not a request: they are ready at once and never re-read the store."""
+        store, cold = _saved_store(tmp_path, MIX[:1])
+        path = tmp_path / "boot.snap"
+        with OptimizerService(shards=1, workers=1) as saver:
+            _serve(saver, MIX[0])
+            saver.save_caches(path)
+        with OptimizerService(shards=1, workers=1, store=store) as fresh:
+            assert fresh.recover_caches(path) == (1, None)
+            response, digest, _ = _serve(fresh, MIX[0])
+            stats = fresh.stats()
+        assert digest == cold[0]
+        assert response.metrics.cache_misses == response.metrics.memo_misses == 0
+        assert stats.snapshots_loaded == stats.sessions_restored == 1
+
+    def test_an_evicted_session_reads_its_file_again(self, tmp_path):
+        store, cold = _saved_store(tmp_path, MIX[:2])
+        with OptimizerService(shards=1, workers=1, max_sessions=1, store=store) as fresh:
+            served = [_serve(fresh, entry) for entry in (MIX[0], MIX[1], MIX[0])]
+            stats = fresh.stats()
+        assert [digest for _, digest, _ in served] == [cold[0], cold[1], cold[0]]
+        for response, _, _ in served:
+            assert response.metrics.cache_misses == response.metrics.memo_misses == 0
+        assert stats.as_dict()["sessions_evicted"] == 2
+        assert stats.snapshots_loaded == 3
+
+    def test_no_file_is_a_plain_cold_start(self, tmp_path):
+        store = SnapshotStore(tmp_path / "empty-store")
+        events = io.StringIO()
+        with OptimizerService(
+            shards=1, workers=1, store=store, event_log=EventLog(stream=events)
+        ) as fresh:
+            response, digest, _ = _serve(fresh, MIX[0])
+            stats = fresh.stats()
+        name, params, strategy = MIX[0]
+        workload = WORKLOAD_BUILDERS[name][0](**params)
+        single_shot = workload.optimizer().optimize(workload.query, strategy=strategy)
+        assert digest == plan_digest(single_shot.plans)
+        assert response.metrics.cache_misses > 0
+        assert stats.recoveries == stats.snapshots_loaded == stats.stale_sessions == 0
+        names = [json.loads(line)["event"] for line in events.getvalue().splitlines()]
+        assert "request.completed" in names
+        assert not [name for name in names if name.startswith("snapshot.")]

@@ -40,7 +40,7 @@ def _fresh(query):
 
 def _held_queries(registry):
     """Every fixpoint in ``registry`` and every query in a restriction table."""
-    exported, _ = registry.export_entries()
+    exported = registry.export_entries()
     pending = [fixpoint for _, entries in exported for fixpoint in entries.values()]
     seen = {}
     while pending:

@@ -202,7 +202,9 @@ class TestChaseCacheMerging:
         assert len(cache.export_since(0)) == len(cache)
 
         fresh = ChaseCache(workload.catalog.constraints())
-        fresh.merge(cache)
+        fresh.merge_exported(
+            cache.export_since(0), misses=cache.misses, counters=cache.counters
+        )
         assert len(fresh) == len(cache)
         assert fresh.misses == cache.misses
         assert fresh.counters.closure_queries == cache.counters.closure_queries

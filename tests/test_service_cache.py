@@ -204,7 +204,7 @@ class TestConcurrentSharing:
             if subquery is not None:
                 donor.chase(subquery)
         bounded = ChaseCache(constraints, max_entries=2)
-        bounded.merge(donor)
+        bounded.merge_exported(donor.export_since(0))
         assert len(bounded) <= 2
         assert bounded.evictions >= len(donor) - 2
 

@@ -65,7 +65,7 @@ class TestRegistrySnapshot:
         registry = ChaseCacheRegistry()
         cache = registry.for_constraints(constraints)
         chased = cache.chase(workload.query)
-        exported, _ = registry.export_entries()
+        exported = registry.export_entries()
 
         loaded = ChaseCacheRegistry()
         loaded.merge_entries(_codec_round_trip(constraints, caches=exported).caches)
@@ -88,7 +88,7 @@ class TestRegistrySnapshot:
             caches = [
                 entries
                 for session in _live_sessions(bounded)
-                for _, entries in session.registry.export_entries()[0]
+                for _, entries in session.registry.export_entries()
             ]
         assert caches
         assert all(len(entries) <= 1 for entries in caches)
@@ -99,7 +99,7 @@ class TestRegistrySnapshot:
         second = build_ec1(2, 1).query
         memo = ContainmentMemo(max_entries=8)
         expected = memo.check(first, first), memo.check(second, first)
-        decoded = _codec_round_trip((), verdicts=memo.export_since(0))
+        decoded = _codec_round_trip((), verdicts=memo.export())
         clone = ContainmentMemo(max_entries=8)
         clone.merge_exported(decoded.verdicts)
         assert clone.lookup(first, first) == expected[0]
@@ -119,7 +119,7 @@ class TestSessionCodec:
             decoded = decode_session(json.loads(json.dumps(document)))
             assert decoded.label == session.label
             assert frozenset(decoded.constraints) == session.signature
-            caches, _ = session.registry.export_entries()
+            caches = session.registry.export_entries()
             assert len(decoded.caches) == len(caches)
             for (dependencies, entries), (twin_dependencies, twin_entries) in zip(
                 caches, decoded.caches
@@ -130,7 +130,7 @@ class TestSessionCodec:
                     assert str(twin) == str(fixpoint)
                     assert _restrictions(twin) == _restrictions(fixpoint)
                     tables += len(_restrictions(fixpoint))
-            assert list(decoded.verdicts) == session.memo.export_since(0)
+            assert list(decoded.verdicts) == session.memo.export()
         assert tables > 0  # the backchase's restrictions were encoded
 
 

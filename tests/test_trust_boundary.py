@@ -2,12 +2,16 @@
 
 * No module under ``src/repro`` imports ``pickle``.
 * A pickle whose unpickling would create a marker file, offered through
-  each untrusted path — a ``--snapshot`` file, a snapshot-store file, a
-  ``sync`` merge entry over a real socket — ends in a typed, counted
-  recovery or rejection, and the marker never appears.
+  each file path — a ``--snapshot`` file, a snapshot-store file that a
+  first-contact request meets, in process and over a real socket — ends in
+  a typed, counted recovery, and the marker never appears.
+* No socket line moves warm state: a ``sync`` line carrying a session with
+  forged verdicts gets an ``unknown op`` error record, and the next
+  request's plans are the honest ones.
 * Fuzzing (Hypothesis): byte flips and truncations of a snapshot raise
   only :class:`~repro.errors.SnapshotError`; structural mutations of a
-  session document are counted rejections and the service keeps serving;
+  session document, written as a checksummed store file, are counted
+  recoveries and the request that meets the file is still served;
   :func:`~repro.service.protocol.decode_request` raises only
   ``ValueError`` / ``TypeError``.
 * A bad request line gets an error record and the next line is still
@@ -18,7 +22,6 @@
 """
 
 import ast
-import base64
 import copy
 import hashlib
 import json
@@ -40,8 +43,8 @@ from repro.lang.pretty import format_dependency
 from repro.service import OptimizerClient, OptimizerServer, OptimizerService
 from repro.service.codec import NODES, decode_session
 from repro.service.fleet import SnapshotStore
-from repro.service.protocol import WORKLOAD_BUILDERS, decode_request
-from repro.service.snapshots import SNAPSHOT_VERSION, read_snapshot
+from repro.service.protocol import WORKLOAD_BUILDERS, decode_request, plan_digest
+from repro.service.snapshots import SNAPSHOT_VERSION, read_snapshot, write_snapshot
 from repro.workloads import build_ec1, build_ec2, build_ec3
 
 JOIN_TIMEOUT = 120.0
@@ -80,6 +83,13 @@ def _serve_one(service, workload):
     return service.submit(workload.query, catalog=workload.catalog).result(
         timeout=JOIN_TIMEOUT
     )
+
+
+def _store_file(store, workload):
+    """The store file a first request for ``workload`` reads (parents made)."""
+    path = Path(store.path_for(constraints_digest(workload.catalog.constraints())))
+    path.parent.mkdir(parents=True, exist_ok=True)
+    return path
 
 
 # ---------------------------------------------------------------------- #
@@ -140,49 +150,66 @@ class TestPickleNeverRuns:
         marker = tmp_path / "marker"
         workload = build_ec2(1, 3, 1)
         store = SnapshotStore(tmp_path / "store")
-        path = Path(store.path_for(constraints_digest(workload.catalog.constraints())))
-        path.parent.mkdir(parents=True)
-        path.write_bytes(_exploit(marker))
-        with OptimizerService(shards=1, workers=1) as service:
-            restored, failures = store.restore(service)
-            assert _serve_one(service, workload).ok
-            stats = service.stats()
-        assert (restored, failures) == (0, 1)
-        assert stats.recoveries == 1
+        path = _store_file(store, workload)
+        for data in (_exploit(marker), _signed(_exploit(marker))):
+            path.write_bytes(data)
+            with OptimizerService(shards=1, workers=1, store=store) as service:
+                assert _serve_one(service, workload).ok
+                stats = service.stats()
+            assert stats.recoveries == 1
+            assert stats.sessions_restored == 0
         assert not marker.exists()
 
-    def test_sync_merge_over_a_socket_is_a_counted_rejection(self, tmp_path):
+    def test_store_file_over_a_socket_is_a_counted_recovery(self, tmp_path):
         marker = tmp_path / "marker"
-        workload = build_ec2(1, 3, 1)
-        digest = constraints_digest(workload.catalog.constraints())
-        data = base64.b64encode(_exploit(marker)).decode("ascii")
-        entries = [
-            # the old wire shape: a base64 pickle
-            {"digest": digest, "label": "x", "data": data},
-            # pickle bytes inside a well-formed document are inert data
-            {
-                "label": "x",
-                "constraints_digest": digest,
-                "nodes": [["c", data]],
-                "constraints": [],
-                "caches": [],
-                "restrictions": [],
-                "verdicts": [],
-            },
-        ]
-        with OptimizerServer(shards=1, workers=1) as server:
+        store = SnapshotStore(tmp_path / "store")
+        _store_file(store, build_ec2(1, 3, 1)).write_bytes(_signed(_exploit(marker)))
+        with OptimizerServer(shards=1, workers=1, store=store) as server:
             with OptimizerClient(port=server.port) as client:
-                merged, rejected = client.sync_merge(entries, timeout=JOIN_TIMEOUT)
                 response = client.request(
-                    {"id": "after", "workload": "ec2",
+                    {"id": "first", "workload": "ec2",
                      "params": {"stars": 1, "corners": 3, "views": 1}},
                     timeout=JOIN_TIMEOUT,
                 )
             stats = server.service.stats()
-        assert (merged, rejected) == (0, len(entries))
-        assert stats.sync_rejected == len(entries)
         assert response["status"] == "ok"
+        assert stats.recoveries == 1
         assert not marker.exists()
+
+
+# ---------------------------------------------------------------------- #
+# no socket line moves warm state
+# ---------------------------------------------------------------------- #
+def test_forged_verdicts_over_a_socket_never_reach_the_plans():
+    """A session document with every containment verdict forged to true,
+    offered as a ``sync`` line, is refused as an unknown op; the next
+    client still gets the honest plans."""
+    workload = build_ec1(2, 1)
+    with OptimizerService(shards=1, workers=1) as honest:
+        response = _serve_one(honest, workload)
+        (document,) = honest.export_sessions()
+    honest_digests = plan_digest(response.result.plans)
+    forged = copy.deepcopy(document)
+    for verdict in forged["verdicts"]:
+        verdict[2] = True
+    line = {"id": "forged", "op": "sync", "mode": "merge", "sessions": [forged]}
+    with OptimizerServer(shards=1, workers=1) as server:
+        with socket.create_connection(("127.0.0.1", server.port), timeout=JOIN_TIMEOUT) as sock:
+            sock.sendall(json.dumps(line).encode("utf-8") + b"\n")
+            sock.shutdown(socket.SHUT_WR)
+            with sock.makefile("r", encoding="utf-8") as reader:
+                replies = [json.loads(reply) for reply in reader]
+        with OptimizerClient(port=server.port) as client:
+            after = client.request(
+                {"id": "after", "workload": "ec1",
+                 "params": {"relations": 2, "secondary_indexes": 1}, "strategy": "fb"},
+                timeout=JOIN_TIMEOUT,
+            )
+    assert replies == [
+        {"id": "forged", "status": "error", "error": "unknown op 'sync'"}
+    ]
+    assert after["status"] == "ok"
+    assert after["plan_digests"] == honest_digests
 
 
 # ---------------------------------------------------------------------- #
@@ -226,7 +253,7 @@ def test_snapshot_byte_flips_and_truncations_raise_only_snapshot_error(warm, dat
 
 
 # ---------------------------------------------------------------------- #
-# fuzzing the session decoder through merge_sync
+# fuzzing the session decoder through the store read-through
 # ---------------------------------------------------------------------- #
 _KIND = {tag: kind for tag, (kind, _, _) in NODES.items()}
 #: Field layout per tag: a kind is one reference, ``[kind]`` a list of
@@ -356,8 +383,21 @@ def _mutate(data, document):
     return document
 
 
+def _first_contact(warm, document):
+    """Serve ``warm.workload`` on a fresh service whose store file for it
+    holds ``document`` (checksummed, so it reaches the decoder)."""
+    store = SnapshotStore(warm.directory / "store")
+    write_snapshot(_store_file(store, warm.workload), [document])
+    with OptimizerService(shards=1, workers=1, max_inflight=1, store=store) as service:
+        response = _serve_one(service, warm.workload)
+        return response, service.stats()
+
+
 def test_the_unmutated_document_merges(warm):
-    assert warm.service.merge_sync([copy.deepcopy(warm.document)]) == (1, 0)
+    response, stats = _first_contact(warm, copy.deepcopy(warm.document))
+    assert response.ok
+    assert response.metrics.cache_misses == response.metrics.memo_misses == 0
+    assert (stats.sessions_restored, stats.recoveries) == (1, 0)
 
 
 @FUZZ
@@ -366,10 +406,9 @@ def test_mutated_documents_are_counted_rejections(warm, data):
     document = _mutate(data, copy.deepcopy(warm.document))
     with pytest.raises(CodecError):
         decode_session(document)
-    before = warm.service.stats().sync_rejected
-    assert warm.service.merge_sync([document]) == (0, 1)
-    assert warm.service.stats().sync_rejected == before + 1
-    assert _serve_one(warm.service, warm.workload).ok
+    response, stats = _first_contact(warm, document)
+    assert response.ok
+    assert (stats.recoveries, stats.sessions_restored) == (1, 0)
 
 
 def test_deep_paths_are_rejected():
