@@ -161,8 +161,10 @@ serve-obs-smoke:
 # on it must serve the workload straight with --check, reading each
 # catalog's file on first contact: its stats line must show
 # sessions_restored == 6 (the workload's distinct catalogs) and no cache or
-# memo miss.  A fresh backend, because placement hashes OS-assigned ports:
-# the survivor alone might find nothing to read.
+# memo miss, and having learned nothing new, its drain-time save must write
+# no store file (its event log's snapshot.saved reads "sessions": 0).  A
+# fresh backend, because placement hashes OS-assigned ports: the survivor
+# alone might find nothing to read.
 fleet-smoke:
 	@rm -rf .fleet-smoke.*; \
 	trap 'rm -rf .fleet-smoke.*' EXIT; \
@@ -204,7 +206,8 @@ fleet-smoke:
 	wait $$router_pid $$b2_pid 2>/dev/null; \
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro.cli serve --port 0 \
 		--port-file .fleet-smoke.b3 --shards 1 --workers 2 \
-		--snapshot-store .fleet-smoke.store --stats > .fleet-smoke.stats & \
+		--snapshot-store .fleet-smoke.store --stats \
+		--event-log .fleet-smoke.events > .fleet-smoke.stats & \
 	b3_pid=$$!; \
 	for i in $$(seq 1 100); do \
 		[ -s .fleet-smoke.b3 ] && break; sleep 0.1; \
@@ -215,8 +218,8 @@ fleet-smoke:
 		--input benchmarks/workloads/serve_smoke.jsonl --output /dev/null --check \
 		|| { echo "fresh backend failed --check"; kill -9 $$b3_pid; exit 1; }; \
 	kill -TERM $$b3_pid; wait $$b3_pid; \
-	$(PYTHON) -c 'import json, sys; s = json.loads(open(".fleet-smoke.stats").read().splitlines()[-1])["stats"]; print("fleet-smoke: fresh backend", {k: s[k] for k in ("sessions_restored", "cache_misses", "memo_misses")}); sys.exit(not (s["sessions_restored"] == 6 and s["cache_misses"] == 0 and s["memo_misses"] == 0))' \
-		|| { echo "fresh backend did not serve warm from the store"; exit 1; }
+	$(PYTHON) -c 'import json, sys; s = json.loads(open(".fleet-smoke.stats").read().splitlines()[-1])["stats"]; saved = [e["sessions"] for e in map(json.loads, open(".fleet-smoke.events")) if e["event"] == "snapshot.saved"]; print("fleet-smoke: fresh backend", {k: s[k] for k in ("sessions_restored", "cache_misses", "memo_misses")}, "store files written at drain:", saved); sys.exit(not (s["sessions_restored"] == 6 and s["cache_misses"] == 0 and s["memo_misses"] == 0 and saved == [0]))' \
+		|| { echo "fresh backend did not serve warm from the store, or rewrote its files"; exit 1; }
 
 # Perf smoke test: perfbench/run.py drives the service in process
 # (warm-service) and over a socket (churn-socket) for 5 s each, then a traced

@@ -45,6 +45,7 @@ def test_stage_breakdown(benchmark):
     assert set(measurement.stage_seconds) == {
         "admission_wait",
         "queue_wait",
+        "store_load",
         "chase",
         "containment",
         "restrict",

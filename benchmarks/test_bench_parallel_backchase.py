@@ -1,13 +1,14 @@
-"""Scaling benchmark: wave-parallel backchase vs. the sequential engine.
+"""Scaling benchmark: wave-parallel backchase vs. the inline engine.
 
-Chases one EC2 instance to its universal plan, runs the sequential
-:class:`FullBackchase` as the baseline, then the wave-parallel
+Chases one EC2 instance to its universal plan, runs the inline
+:class:`FullBackchase` (the same level-wise walk, evaluated on the caller's
+thread) as the baseline, then the wave-parallel
 :class:`ParallelBackchase` (``processes`` executor) at 1/2/4/8 workers on the
 same plan.  Two claims are checked and recorded into ``BENCH_PR2.json``:
 
 * **correctness** — every parallel run produces a plan set
-  signature-identical to the sequential engine's (hard assertion);
-* **scaling** — wall-clock speedup vs. the sequential baseline per worker
+  signature-identical to the inline engine's (hard assertion);
+* **scaling** — wall-clock speedup vs. the inline baseline per worker
   count, always recorded.  The >= 1.5x at 4 workers claim is only *asserted*
   when ``BENCH_ASSERT_SPEEDUP=1`` is set **and** the host exposes >= 4
   usable cores: shared CI runners and laptops under load make hard speedup
@@ -64,7 +65,7 @@ def test_parallel_backchase_scaling(benchmark):
     )
 
     # Correctness: the wave engine's plan sets are signature-identical to the
-    # sequential engine's at every worker count, and nothing timed out.  A
+    # inline engine's at every worker count, and nothing timed out.  A
     # timed-out *serial* baseline would make the reference plan set partial
     # and every comparison meaningless, so that fails loudly on its own.
     for measurement in result.measurements:

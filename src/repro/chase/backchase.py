@@ -1,33 +1,48 @@
 """The full backchase (FB): minimal equivalent subqueries of the universal plan.
 
-Two engines implement the top-down exploration described in Section 4 of the
-paper:
+One walk implements the top-down exploration described in Section 4 of the
+paper.  It goes down the subquery lattice level by level: starting from the
+universal plan, each wave checks every untried one-binding removal of the
+whole frontier, the equivalent children form the next frontier, and a
+frontier node with no equivalent child is minimal and is emitted as a plan.
+Lattice nodes are integer bitmasks over the universal plan's variables; a
+node's variable set is built only when the node is checked.
 
-* :class:`FullBackchase` — the original recursive (depth-first) walk:
-  starting from the universal plan, repeatedly try to remove one binding at a
-  time and recursively minimise every equivalent subquery reached.  A
-  subquery with no equivalent strict subquery is minimal and is emitted as a
-  plan.
+The walk prunes.  Containment under constraints is monotone: the subquery
+on a subset of a node's bindings maps into the node's subquery, so if the
+original query does not map into the chase of the node's subquery, it does
+not map into the chase of any smaller one.  A candidate with a parent one
+binding larger that failed this containment, or that was pruned itself, is
+therefore marked not equivalent without a restriction, a chase or a
+containment search, and a level-wise walk knows every such failure at level
+*k* before it checks level *k - 1*.  Nothing else prunes: a node that
+:meth:`~repro.cq.query.PCQuery.restrict_to` rejects, or whose subquery does
+not map into the universal plan, has not failed a monotone test.
 
-* :class:`ParallelBackchase` — a frontier-based, level-wise walk of the same
-  subquery lattice driven by a pluggable executor (``serial`` / ``threads``
-  / ``processes``).  Each wave collects every untried ``variables - {var}``
-  subset across the whole frontier, evaluates the equivalence checks
-  concurrently (they are independent given a shared
-  :class:`~repro.chase.implication.ChaseCache`), merges the verdict maps,
+Two engines run the walk:
+
+* :class:`FullBackchase` evaluates each wave inline, on the caller's thread
+  (the optimizer's FB path and every OQF fragment and OCS stage).
+* :class:`ParallelBackchase` hands each wave to a pluggable executor
+  (``serial`` / ``threads`` / ``processes``) or to the optimizer service's
+  shard pool.  The checks of a wave are independent given a shared
+  :class:`~repro.chase.implication.ChaseCache`; each chunk comes back as a
+  mergeable :class:`WaveOutcome` (verdicts,
   :class:`~repro.cq.homomorphism.SearchStats`,
-  :class:`~repro.chase.chase.ChaseCounters` and newly chased cache entries
-  back into shared state, and then expands the next frontier.  Both engines
-  visit exactly the same lattice nodes and therefore produce identical plan
-  sets (asserted by the test suite and the scaling benchmark).
+  :class:`~repro.chase.chase.ChaseCounters` and, from worker processes, the
+  newly chased cache entries).
+
+Pruning is decided in the walk, between waves, so both engines and every
+executor make the same checks and produce identical plan sets.
 
 Equivalence of a candidate subquery with the original query is checked with
-the chase-based containment test of :mod:`repro.chase.implication`; one of
-the two containments always holds for subqueries of the universal plan (the
-original query maps into them), so only the other direction is chased.  The
-chase results are memoised across candidates (:class:`ChaseCache`), and the
-set of explored binding subsets is memoised so each subquery is inspected at
-most once.
+the chase-based containment test of :mod:`repro.chase.implication`.  The
+chase results are memoised across candidates (:class:`ChaseCache`), and each
+binding subset is inspected at most once.
+
+A walk that runs out of budget returns the plans of the levels it completed
+(with ``timed_out=True``): those nearest the universal plan, not the deep
+plans a depth-first walk would reach first.
 """
 
 from __future__ import annotations
@@ -56,14 +71,16 @@ class BackchaseResult:
     plans:
         The minimal equivalent subqueries found, as :class:`Plan` objects.
     subqueries_explored:
-        Number of distinct binding subsets inspected.
+        Number of distinct binding subsets restricted to a subquery.  Nodes
+        pruned under a failed containment are not counted.
     equivalence_checks:
-        Number of chase-based equivalence tests performed.
+        Number of chase-based equivalence tests performed.  Pruned nodes are
+        not counted.
     elapsed:
         Wall-clock seconds spent in the backchase.
     timed_out:
-        ``True`` when the exploration hit the timeout and the plan list may
-        be incomplete.
+        ``True`` when the walk hit the timeout; the plans are then those of
+        the lattice levels it completed, and may be incomplete.
     cache_hits / cache_misses:
         :class:`~repro.chase.implication.ChaseCache` accounting for the run.
     closure_queries / candidates_tried:
@@ -71,11 +88,11 @@ class BackchaseResult:
         run plus every cache-miss chase performed for it.
     executor / workers / waves:
         How the lattice was explored: the executor kind, the worker count,
-        and (for the wave engine) the number of frontier waves dispatched.
+        and the number of waves (lattice levels) checked.
     chunk_policy:
-        How wave payloads were split across workers (``"inline"`` for the
-        serial executor, ``"size-ordered"`` for the pooled ones); also
-        recorded on the run's :class:`SearchStats`.
+        How wave payloads were split across workers (``"inline"`` for
+        :class:`FullBackchase` and the serial executor, ``"size-ordered"``
+        for the pooled ones).
     """
 
     plans: list = field(default_factory=list)
@@ -103,22 +120,26 @@ class BackchaseResult:
         return self.elapsed / len(self.plans)
 
 
-class BackchaseTimeout(Exception):
-    """Internal signal used to unwind the exploration when the timeout hits."""
+# ---------------------------------------------------------------------- #
+# the equivalence check
+# ---------------------------------------------------------------------- #
+#: Verdicts of :func:`_check_equivalence`.  Only ``_NOT_CONTAINED`` is
+#: monotone (it holds for every subset of the subquery's bindings), so it is
+#: the only one the walk prunes under.
+_EQUIVALENT = "equivalent"
+_NOT_CONTAINED = "not-contained"
+_NOT_CONTAINING = "not-containing"
 
 
-# ---------------------------------------------------------------------- #
-# the equivalence check shared by both engines
-# ---------------------------------------------------------------------- #
 def _check_equivalence(original, universal_plan, subquery, cache, stats, deadline=None, memo=None):
-    """Return ``True`` when ``subquery`` is equivalent to ``original``.
+    """Decide whether ``subquery`` is equivalent to ``original``.
 
     Direction 1: the subquery is contained in the original under the
-    constraints (chase the subquery, map the original into it).  Direction 2:
-    the original is contained in the subquery; for subqueries of the
-    universal plan this always holds (the universal plan is the chased
-    original and the subquery maps into it by construction of the
-    restriction), so it is checked cheaply against the universal plan itself.
+    constraints (chase the subquery, map the original into it); when it is
+    not, the verdict is ``_NOT_CONTAINED``.  Direction 2: the original is
+    contained in the subquery, checked cheaply by mapping the subquery into
+    the universal plan (the chased original); when it is not, the verdict is
+    ``_NOT_CONTAINING``.  Otherwise the verdict is ``_EQUIVALENT``.
 
     ``memo`` is an optional :class:`~repro.cq.memo.ContainmentMemo`: both
     containment searches then go through it, so a warm service request whose
@@ -133,27 +154,176 @@ def _check_equivalence(original, universal_plan, subquery, cache, stats, deadlin
     chased = cache.chase(subquery, deadline=deadline)
     if memo is not None:
         if not memo.check(original, chased, stats=stats):
-            return False
-        return memo.check(subquery, universal_plan, stats=stats)
-    if not _has_containment_mapping(original, chased, stats=stats):
-        return False
-    return _has_containment_mapping(subquery, universal_plan, stats=stats)
+            return _NOT_CONTAINED
+        contains = memo.check(subquery, universal_plan, stats=stats)
+    else:
+        if not _has_containment_mapping(original, chased, stats=stats):
+            return _NOT_CONTAINED
+        contains = _has_containment_mapping(subquery, universal_plan, stats=stats)
+    return _EQUIVALENT if contains else _NOT_CONTAINING
 
 
 def _ordered_plan_items(plans_by_key):
     """Deterministic plan order: by subset size, then by sorted variable names.
 
-    Both engines sort their emitted plans this way before the isomorphism
-    dedupe, so the representative kept for each isomorphism class does not
-    depend on the (engine-specific) order in which the lattice was walked —
-    this is what makes the sequential and wave-parallel plan sets
-    signature-identical.
+    The walk's plans are sorted this way before the isomorphism dedupe, so
+    the representative kept for each isomorphism class does not depend on
+    the order in which a wave's chunks came back.
     """
     return sorted(plans_by_key.items(), key=lambda item: (len(item[0]), tuple(sorted(item[0]))))
 
 
+# ---------------------------------------------------------------------- #
+# the level-wise walk
+# ---------------------------------------------------------------------- #
+def _has_failed_parent(node, top, failed):
+    """Whether some parent of ``node`` one binding larger is in ``failed``."""
+    missing = top ^ node
+    while missing:
+        bit = missing & -missing
+        if node | bit in failed:
+            return True
+        missing ^= bit
+    return False
+
+
+class _LevelWalk:
+    """The level-wise, pruning walk over the subquery lattice.
+
+    A node is an integer bitmask over the universal plan's variables.  Bits
+    go in reverse name order (the first name gets the highest bit), so on one
+    level, descending masks are the sorted-name order in which every wave is
+    dispatched.  Only the current level's verdicts are kept: the children of
+    a frontier node all sit on the next level.  ``run_wave(keys)`` evaluates
+    one wave's variable sets (frozensets) and returns its
+    :class:`WaveOutcome` chunks.
+    """
+
+    def __init__(self, universal_plan, deadline, cache):
+        self.universal_plan = universal_plan
+        self.deadline = deadline
+        self.cache = cache
+        self._cache_before = (
+            cache.hits,
+            cache.misses,
+            cache.counters.closure_queries,
+            cache.counters.candidates_tried,
+        )
+        self.plans = {}
+        self.explored = 0
+        self.equivalence_checks = 0
+        self.stats = SearchStats()
+        self.timed_out = False
+        self.waves = 0
+
+    def run(self, run_wave):
+        universal_plan = self.universal_plan
+        names = sorted(universal_plan.variable_set)
+        top = (1 << len(names)) - 1
+        name_of = {1 << (len(names) - 1 - index): name for index, name in enumerate(names)}
+        # (node, its variable set, its subquery): only the top has none yet.
+        frontier = [(top, universal_plan.variable_set, None)]
+        # The frontier level's nodes that failed containment or were pruned
+        # under such a node: none of their subsets is equivalent.
+        failed = set()
+        while frontier and not self.timed_out:
+            verdicts = {}  # next level: node -> equivalent subquery, or None
+            candidates = {}  # next level: node -> variable set, to be checked
+            below_failed = set()  # next level's ``failed``
+            children = []
+            for node, variables, _ in frontier:
+                kids = []
+                rest = node
+                while rest:
+                    bit = rest & -rest
+                    rest ^= bit
+                    child = node ^ bit
+                    kids.append(child)
+                    if child in verdicts or child in candidates:
+                        continue
+                    if failed and _has_failed_parent(child, top, failed):
+                        verdicts[child] = None
+                        below_failed.add(child)
+                        continue
+                    candidates[child] = variables - {name_of[bit]}
+                children.append(kids)
+            if candidates:
+                if deadline_passed(self.deadline):
+                    self.timed_out = True
+                    break
+                self.waves += 1
+                node_of = {}
+                for node in sorted(candidates, reverse=True):
+                    node_of[candidates[node]] = node
+                for outcome in run_wave(list(node_of)):
+                    for key, subquery in outcome.verdicts.items():
+                        verdicts[node_of[key]] = subquery
+                    for key in outcome.not_contained:
+                        below_failed.add(node_of[key])
+                    self.explored += outcome.explored
+                    self.equivalence_checks += outcome.equivalence_checks
+                    self.stats.add(outcome.stats)
+                    self.timed_out = self.timed_out or outcome.timed_out
+            expanded = set()
+            for (node, variables, subquery), kids in zip(frontier, children):
+                if self.timed_out and any(kid not in verdicts for kid in kids):
+                    # The wave timed out before this node's children were all
+                    # evaluated; its minimality is unknown, so it is neither
+                    # expanded nor emitted.  (A wave that completes decides
+                    # every child.)
+                    continue
+                equivalent = [kid for kid in kids if verdicts[kid] is not None]
+                if equivalent:
+                    expanded.update(equivalent)
+                    continue
+                if subquery is None:
+                    subquery = universal_plan.restrict_to(variables)
+                if subquery is not None:
+                    self.plans[variables] = subquery
+            frontier = [
+                (node, candidates[node], verdicts[node])
+                for node in sorted(expanded, reverse=True)
+            ]
+            failed = below_failed
+        return self
+
+    def result(self, strategy_label, start, executor, workers, chunk_policy):
+        """The run's :class:`BackchaseResult`, timed from ``start``."""
+        elapsed = time.perf_counter() - start
+        hits, misses, chase_queries, chase_candidates = self._cache_before
+        counters = self.cache.counters
+        return BackchaseResult(
+            plans=dedupe_isomorphic_plans(
+                [
+                    Plan(query, strategy=strategy_label)
+                    for _, query in _ordered_plan_items(self.plans)
+                ]
+            ),
+            subqueries_explored=self.explored,
+            equivalence_checks=self.equivalence_checks,
+            elapsed=elapsed,
+            timed_out=self.timed_out,
+            cache_hits=self.cache.hits - hits,
+            cache_misses=self.cache.misses - misses,
+            closure_queries=(
+                self.stats.closure_queries + counters.closure_queries - chase_queries
+            ),
+            candidates_tried=(
+                self.stats.candidates_tried + counters.candidates_tried - chase_candidates
+            ),
+            executor=executor,
+            workers=workers,
+            waves=self.waves,
+            chunk_policy=chunk_policy,
+        )
+
+
 class FullBackchase:
-    """Top-down backchase of a universal plan against the original query.
+    """Top-down backchase of a universal plan, evaluated inline.
+
+    Runs the level-wise walk (see the module docstring) on the caller's
+    thread: each wave's checks run one after another against the shared
+    chase cache.
 
     Parameters
     ----------
@@ -163,9 +333,9 @@ class FullBackchase:
         The constraint set used for the equivalence checks (typically the
         same set used to build the universal plan).
     timeout:
-        Optional wall-clock budget in seconds; on expiry the plans found so
-        far are returned with ``timed_out=True`` (this mirrors the timeouts
-        in the paper's experiments).
+        Optional wall-clock budget in seconds; on expiry the plans of the
+        completed levels are returned with ``timed_out=True`` (this mirrors
+        the timeouts in the paper's experiments).
     strategy_label:
         Label recorded on the produced :class:`Plan` objects.
     chase_cache:
@@ -197,125 +367,21 @@ class FullBackchase:
         self.chase_cache = chase_cache if chase_cache is not None else ChaseCache(self.dependencies)
         self.containment_memo = containment_memo
 
-    # ------------------------------------------------------------------ #
-    # public API
-    # ------------------------------------------------------------------ #
     def run(self, universal_plan):
         """Enumerate the minimal equivalent subqueries of ``universal_plan``."""
         start = time.perf_counter()
         deadline = start + self.timeout if self.timeout is not None else None
-        state = _ExplorationState(deadline)
-        cache_hits = self.chase_cache.hits
-        cache_misses = self.chase_cache.misses
-        chase_queries = self.chase_cache.counters.closure_queries
-        chase_candidates = self.chase_cache.counters.candidates_tried
-        try:
-            self._explore(universal_plan, universal_plan.variable_set, state)
-        except BackchaseTimeout:
-            state.timed_out = True
-        elapsed = time.perf_counter() - start
-        plans = dedupe_isomorphic_plans(
-            [
-                Plan(query, strategy=self.strategy_label)
-                for _, query in _ordered_plan_items(state.plans)
+        context = WaveContext(self.original, universal_plan, self.dependencies)
+
+        def run_wave(keys):
+            return [
+                _evaluate_chunk(
+                    context, keys, deadline, self.chase_cache, memo=self.containment_memo
+                )
             ]
-        )
-        return BackchaseResult(
-            plans=plans,
-            subqueries_explored=state.explored,
-            equivalence_checks=state.equivalence_checks,
-            elapsed=elapsed,
-            timed_out=state.timed_out,
-            cache_hits=self.chase_cache.hits - cache_hits,
-            cache_misses=self.chase_cache.misses - cache_misses,
-            closure_queries=(
-                state.stats.closure_queries
-                + self.chase_cache.counters.closure_queries
-                - chase_queries
-            ),
-            candidates_tried=(
-                state.stats.candidates_tried
-                + self.chase_cache.counters.candidates_tried
-                - chase_candidates
-            ),
-        )
 
-    # ------------------------------------------------------------------ #
-    # exploration
-    # ------------------------------------------------------------------ #
-    def _explore(self, universal_plan, variables, state):
-        """Minimise the subquery induced by ``variables`` (known equivalent)."""
-        if deadline_passed(state.deadline):
-            raise BackchaseTimeout()
-        found_smaller = False
-        for var in sorted(variables):
-            remaining = variables - {var}
-            verdict = self._equivalent_subset(universal_plan, remaining, state)
-            if verdict is None:
-                continue
-            found_smaller = True
-            if not state.is_visited(remaining):
-                state.mark_visited(remaining)
-                self._explore(universal_plan, remaining, state)
-        if not found_smaller:
-            subquery = universal_plan.restrict_to(variables)
-            if subquery is not None:
-                state.plans[frozenset(variables)] = subquery
-
-    def _equivalent_subset(self, universal_plan, variables, state):
-        """Return the restricted subquery when it is equivalent to the original."""
-        key = frozenset(variables)
-        cached = state.verdicts.get(key)
-        if cached is not None:
-            return cached if cached is not _NOT_EQUIVALENT else None
-        if deadline_passed(state.deadline):
-            raise BackchaseTimeout()
-        state.explored += 1
-        subquery = universal_plan.restrict_to(key)
-        if subquery is None:
-            state.verdicts[key] = _NOT_EQUIVALENT
-            return None
-        state.equivalence_checks += 1
-        try:
-            equivalent = _check_equivalence(
-                self.original,
-                universal_plan,
-                subquery,
-                self.chase_cache,
-                state.stats,
-                state.deadline,
-                memo=self.containment_memo,
-            )
-        except ChaseTimeout:
-            raise BackchaseTimeout()
-        if not equivalent:
-            state.verdicts[key] = _NOT_EQUIVALENT
-            return None
-        state.verdicts[key] = subquery
-        return subquery
-
-
-class _ExplorationState:
-    """Mutable bookkeeping shared across the recursive exploration."""
-
-    def __init__(self, deadline):
-        self.deadline = deadline
-        self.visited = set()
-        self.verdicts = {}
-        self.plans = {}
-        self.explored = 0
-        self.equivalence_checks = 0
-        self.timed_out = False
-        self.stats = SearchStats()
-
-    def is_visited(self, variables):
-        return frozenset(variables) in self.visited
-
-    def mark_visited(self, variables):
-        self.visited.add(frozenset(variables))
-
-
-_NOT_EQUIVALENT = object()
+        walk = _LevelWalk(universal_plan, deadline, self.chase_cache).run(run_wave)
+        return walk.result(self.strategy_label, start, "serial", 1, "inline")
 
 
 # ---------------------------------------------------------------------- #
@@ -336,13 +402,17 @@ class WaveOutcome:
     """Mergeable result of evaluating one chunk of subquery-lattice nodes.
 
     ``verdicts`` maps each evaluated subset to its restricted subquery when
-    it is equivalent to the original, or ``None`` otherwise.  The remaining
-    fields carry the chunk's search effort and (for detached executors) the
-    worker cache's newly chased entries so the coordinator can merge them
-    into the shared :class:`ChaseCache`.
+    it is equivalent to the original, or ``None`` otherwise.
+    ``not_contained`` lists the evaluated subsets whose subquery is not
+    contained in the original (the original does not map into its chase):
+    the walk prunes every subset below them.  The remaining fields carry the
+    chunk's search effort and (for detached executors) the worker cache's
+    newly chased entries so the coordinator can merge them into the shared
+    :class:`ChaseCache`.
     """
 
     verdicts: dict = field(default_factory=dict)
+    not_contained: list = field(default_factory=list)
     explored: int = 0
     equivalence_checks: int = 0
     stats: SearchStats = field(default_factory=SearchStats)
@@ -373,12 +443,12 @@ def _counters_copy(counters):
 def _evaluate_chunk(context, keys, deadline, cache, export_cache=False, memo=None):
     """Evaluate the equivalence checks for ``keys`` against ``context``.
 
-    Runs in the coordinating process (serial / thread executors, sharing the
-    engine's cache) or in a worker process (with a worker-local cache and
-    ``export_cache=True``).  Respects ``deadline``; a chunk that runs out of
-    budget returns the verdicts computed so far with ``timed_out=True``.
-    ``memo`` is the optional shared containment memo (see
-    :func:`_check_equivalence`); worker processes keep their own.
+    Runs in the coordinating process (inline, serial / thread executors,
+    sharing the engine's cache) or in a worker process (with a worker-local
+    cache and ``export_cache=True``).  Respects ``deadline``; a chunk that
+    runs out of budget returns the verdicts computed so far with
+    ``timed_out=True``.  ``memo`` is the optional shared containment memo
+    (see :func:`_check_equivalence`); worker processes keep their own.
 
     Cache accounting (hit/miss/counter deltas, new entries) is only
     meaningful — and only computed — for detached worker caches: against a
@@ -402,7 +472,7 @@ def _evaluate_chunk(context, keys, deadline, cache, export_cache=False, memo=Non
             continue
         outcome.equivalence_checks += 1
         try:
-            equivalent = _check_equivalence(
+            verdict = _check_equivalence(
                 context.original,
                 context.universal_plan,
                 subquery,
@@ -414,7 +484,12 @@ def _evaluate_chunk(context, keys, deadline, cache, export_cache=False, memo=Non
         except ChaseTimeout:
             outcome.timed_out = True
             break
-        outcome.verdicts[key] = subquery if equivalent else None
+        if verdict == _EQUIVALENT:
+            outcome.verdicts[key] = subquery
+            continue
+        outcome.verdicts[key] = None
+        if verdict == _NOT_CONTAINED:
+            outcome.not_contained.append(key)
     if export_cache:
         outcome.cache_hits = cache.hits - hits_before
         outcome.cache_misses = cache.misses - misses_before
@@ -452,13 +527,13 @@ def resolve_worker_count(workers):
 # executors
 # ---------------------------------------------------------------------- #
 class SerialExecutor:
-    """Evaluates every wave inline; the reference executor."""
+    """Evaluates every wave inline, as one chunk."""
 
     kind = "serial"
     #: Whether chunk outcomes come from a detached (worker-local) cache and
     #: must be merged back into the shared one.
     detached = False
-    #: How run_wave splits its keys across workers (recorded in SearchStats).
+    #: How run_wave splits its keys across workers (recorded on the result).
     chunk_policy = "inline"
 
     def __init__(self, workers=None):
@@ -625,15 +700,15 @@ def make_executor(executor="serial", workers=None):
 # the wave engine
 # ---------------------------------------------------------------------- #
 class ParallelBackchase:
-    """Frontier-based, level-wise backchase over the subquery lattice.
+    """Backchase whose waves run on an executor.
 
-    Explores the same lattice as :class:`FullBackchase`, but one *wave* at a
-    time: the untried ``variables - {var}`` subsets of the whole frontier are
-    evaluated concurrently by the configured executor, the verdict maps and
-    work counters are merged back into shared state, and the nodes whose
-    children are all inequivalent are emitted as minimal plans.  Produces
-    plan sets signature-identical to the sequential engine (both sort their
-    plans canonically before the isomorphism dedupe).
+    Runs the same level-wise walk as :class:`FullBackchase`, but each wave's
+    variable sets go to the configured executor, which evaluates them
+    concurrently; the verdicts and work counters of its chunks are merged
+    back into the walk (and, for worker processes, their newly chased
+    entries into the shared cache).  Pruning is decided in the walk, so the
+    checks made, the counters and the plan sets are the same under every
+    executor.
 
     Parameters
     ----------
@@ -687,127 +762,46 @@ class ParallelBackchase:
         """Enumerate the minimal equivalent subqueries of ``universal_plan``."""
         start = time.perf_counter()
         deadline = start + self.timeout if self.timeout is not None else None
-        hits_before = self.chase_cache.hits
-        misses_before = self.chase_cache.misses
-        chase_queries = self.chase_cache.counters.closure_queries
-        chase_candidates = self.chase_cache.counters.candidates_tried
-
-        verdicts = {}
-        plans = {}
-        explored = 0
-        equivalence_checks = 0
-        stats = SearchStats()
-        timed_out = False
-        waves = 0
-
-        top = frozenset(universal_plan.variable_set)
-        visited = {top}
-        frontier = [top]
+        cache = self.chase_cache
+        walk = _LevelWalk(universal_plan, deadline, cache)
         owns_pool = self.pool is None
         pool = make_executor(self.executor, self.workers) if owns_pool else self.pool
         pool.start(
             WaveContext(self.original, universal_plan, self.dependencies),
-            self.chase_cache,
+            cache,
             memo=self.containment_memo,
         )
-        stats.chunk_policy = getattr(pool, "chunk_policy", pool.kind)
         # Cache entries already relayed to the workers (detached pools only):
         # each wave ships the delta merged since the previous wave, so every
         # worker benefits from every other worker's chases.
-        relayed = self.chase_cache.snapshot()
-        try:
-            while frontier and not timed_out:
-                children = {node: [node - {var} for var in sorted(node)] for node in frontier}
-                pending = []
-                queued = set()
-                for node in frontier:
-                    for child in children[node]:
-                        if child in verdicts or child in queued:
-                            continue
-                        queued.add(child)
-                        pending.append(child)
-                pending.sort(key=lambda key: tuple(sorted(key)))
-                if pending:
-                    if deadline_passed(deadline):
-                        timed_out = True
-                        break
-                    waves += 1
-                    seed_entries = None
-                    if pool.detached:
-                        seed_entries = self.chase_cache.export_since(relayed)
-                    for outcome in pool.run_wave(pending, deadline, seed_entries):
-                        for key, subquery in outcome.verdicts.items():
-                            verdicts[key] = subquery if subquery is not None else _NOT_EQUIVALENT
-                        explored += outcome.explored
-                        equivalence_checks += outcome.equivalence_checks
-                        stats.add(outcome.stats)
-                        if pool.detached:
-                            self.chase_cache.merge_exported(
-                                outcome.new_entries,
-                                hits=outcome.cache_hits,
-                                misses=outcome.cache_misses,
-                                counters=outcome.counters,
-                            )
-                        timed_out = timed_out or outcome.timed_out
-                    if pool.detached:
-                        relayed = self.chase_cache.snapshot()
+        relayed = cache.snapshot()
 
-                next_frontier = []
-                for node in frontier:
-                    kids = children[node]
-                    if any(kid not in verdicts for kid in kids):
-                        # The wave timed out before this node's children were
-                        # all evaluated; its minimality is unknown, so it is
-                        # neither expanded nor emitted (the serial engine
-                        # abandons such nodes the same way).
-                        continue
-                    equivalent_kids = [kid for kid in kids if verdicts[kid] is not _NOT_EQUIVALENT]
-                    if equivalent_kids:
-                        for kid in equivalent_kids:
-                            if kid not in visited:
-                                visited.add(kid)
-                                next_frontier.append(kid)
-                    else:
-                        subquery = verdicts.get(node)
-                        if subquery is None or subquery is _NOT_EQUIVALENT:
-                            # Only the lattice top has no verdict of its own.
-                            subquery = universal_plan.restrict_to(node)
-                        if subquery is not None:
-                            plans[node] = subquery
-                frontier = sorted(next_frontier, key=lambda key: tuple(sorted(key)))
+        def run_wave(keys):
+            nonlocal relayed
+            if not pool.detached:
+                return pool.run_wave(keys, deadline)
+            outcomes = pool.run_wave(keys, deadline, cache.export_since(relayed))
+            for outcome in outcomes:
+                cache.merge_exported(
+                    outcome.new_entries,
+                    hits=outcome.cache_hits,
+                    misses=outcome.cache_misses,
+                    counters=outcome.counters,
+                )
+            relayed = cache.snapshot()
+            return outcomes
+
+        try:
+            walk.run(run_wave)
         finally:
             if owns_pool:
                 pool.close()
-
-        elapsed = time.perf_counter() - start
-        plan_objects = dedupe_isomorphic_plans(
-            [
-                Plan(query, strategy=self.strategy_label)
-                for _, query in _ordered_plan_items(plans)
-            ]
-        )
-        return BackchaseResult(
-            plans=plan_objects,
-            subqueries_explored=explored,
-            equivalence_checks=equivalence_checks,
-            elapsed=elapsed,
-            timed_out=timed_out,
-            cache_hits=self.chase_cache.hits - hits_before,
-            cache_misses=self.chase_cache.misses - misses_before,
-            closure_queries=(
-                stats.closure_queries
-                + self.chase_cache.counters.closure_queries
-                - chase_queries
-            ),
-            candidates_tried=(
-                stats.candidates_tried
-                + self.chase_cache.counters.candidates_tried
-                - chase_candidates
-            ),
-            executor=pool.kind,
-            workers=pool.workers,
-            waves=waves,
-            chunk_policy=stats.chunk_policy,
+        return walk.result(
+            self.strategy_label,
+            start,
+            pool.kind,
+            pool.workers,
+            getattr(pool, "chunk_policy", pool.kind),
         )
 
 

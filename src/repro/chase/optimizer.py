@@ -10,13 +10,18 @@
   off-line constraint stratification (``"ocs"``),
 * optionally rank the plans with a cost model and pick the best one.
 
-Parallelism: the ``executor`` / ``workers`` knobs select how the subquery
-lattice is explored (``"fb"`` uses the wave-parallel
-:class:`~repro.chase.backchase.ParallelBackchase`) and fan the independent
-OQF fragments and OCS stage queries of a stratum across the same kind of
-worker pool.  Timeouts are enforced as absolute deadlines threaded through
-the chase phase as well, so an optimize call never exceeds its budget by
-more than the granularity of the engines' deadline checks.
+Every backchase, of the whole universal plan or of an OQF fragment or OCS
+stage, runs the one level-wise walk of :mod:`repro.chase.backchase`, which
+skips every subset of a subquery that failed containment.  Parallelism: the
+``executor`` / ``workers`` knobs (or the service's ``pool``) select where
+the walk's waves are evaluated (``"fb"`` then uses
+:class:`~repro.chase.backchase.ParallelBackchase` instead of the inline
+:class:`~repro.chase.backchase.FullBackchase`) and fan the independent OQF
+fragments and OCS stage queries of a stratum across the same kind of worker
+pool; the checks made and the plans found are the same either way.
+Timeouts are enforced as absolute deadlines threaded through the chase phase
+as well, so an optimize call never exceeds its budget by more than the
+granularity of the engines' deadline checks.
 """
 
 from __future__ import annotations

@@ -456,8 +456,8 @@ def _add_service_options(subparser):
         "--trace",
         action="store_true",
         help="thread a span tree through every request (stages: "
-        "admission_wait, queue_wait, chase, containment, restrict, "
-        "serialize); responses carry it under 'trace'",
+        "admission_wait, queue_wait, store_load, chase, containment, "
+        "restrict, serialize); responses carry it under 'trace'",
     )
     subparser.add_argument(
         "--trace-log",

@@ -46,24 +46,17 @@ class SearchStats:
         Target bindings considered as the image of a source binding.
     conditions_checked:
         Source conditions verified against the target closure.
-    chunk_policy:
-        How the searches were split across workers, when they were (set by
-        the wave-parallel backchase: ``"inline"``, ``"size-ordered"``, ...).
-        Empty for plain sequential searches.
     """
 
     closure_queries: int = 0
     candidates_tried: int = 0
     conditions_checked: int = 0
-    chunk_policy: str = ""
 
     def add(self, other):
         """Accumulate another stats object into this one."""
         self.closure_queries += other.closure_queries
         self.candidates_tried += other.candidates_tried
         self.conditions_checked += other.conditions_checked
-        if other.chunk_policy and not self.chunk_policy:
-            self.chunk_policy = other.chunk_policy
 
 
 class BindingIndex:

@@ -327,11 +327,11 @@ def parallel_backchase_scaling(
     timeout=DEFAULT_TIMEOUT,
     workers=None,
 ):
-    """Wave-parallel backchase vs. the sequential engine on one EC2 instance.
+    """Wave-parallel backchase vs. the inline engine on one EC2 instance.
 
-    The chase runs once; the sequential :class:`FullBackchase` sets the
-    baseline, then the wave engine runs at each worker count on the same
-    universal plan.  Every row asserts the two engines' plan sets are
+    The chase runs once; the inline :class:`FullBackchase` (the same walk,
+    its waves evaluated on the caller's thread) sets the baseline, then the
+    wave engine runs at each worker count on the same universal plan.  Every row asserts the two engines' plan sets are
     signature-identical; the speedup column tracks the wall-clock win (bounded
     by the machine's usable cores — the ``serial`` executor and 1-worker rows
     quantify the wave engine's own overhead).
@@ -349,7 +349,7 @@ def parallel_backchase_scaling(
     result = ExperimentResult(
         f"Parallel backchase scaling on EC2 [{stars} stars, {corners} corners/star, {views} views/star]",
         ["workers", "executor", "backchase time (s)", "speedup vs serial", "plans", "waves", "matches serial"],
-        notes=f"sequential FullBackchase baseline: {serial_time:.3f}s",
+        notes=f"inline FullBackchase baseline: {serial_time:.3f}s",
     )
     for measurement in measurements:
         result.rows.append(

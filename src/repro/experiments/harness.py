@@ -122,9 +122,10 @@ class ParallelBackchaseMeasurement:
 def measure_parallel_scaling(workload, worker_counts=(1, 2, 4), executor="threads", timeout=None):
     """Backchase one universal plan serially, then at each worker count.
 
-    The chase runs once; the serial :class:`FullBackchase` provides both the
-    baseline wall-clock and the reference plan signatures that every
-    parallel run is compared against.
+    The chase runs once; the inline :class:`FullBackchase` (the same
+    level-wise walk, its waves evaluated on the caller's thread) provides
+    both the baseline wall-clock and the reference plan signatures that
+    every parallel run is compared against.
     """
     constraints = workload.catalog.constraints()
     universal = chase(workload.query, constraints).query

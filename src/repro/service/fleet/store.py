@@ -76,7 +76,11 @@ class StoreSaver:
     The manager's loop calls ``save_caches(path, faults)`` on whatever it
     wraps; this facade ignores the single-file path and fans the service's
     sessions out into the store instead — periodic + SIGUSR1 triggers,
-    failure counting and drain-time saves all come along for free.
+    failure counting and drain-time saves all come along for free.  Only
+    sessions that changed since this process last loaded or saved their file
+    are written (:meth:`~repro.service.service.OptimizerService.
+    changed_sessions`), so a backend serving warm from the store rewrites
+    nothing.  Returns the number of files written.
     """
 
     def __init__(self, service, store):
@@ -85,12 +89,13 @@ class StoreSaver:
 
     def save_caches(self, path, faults=None):
         del path  # the store's layout, not the manager's path, names the files
-        return self.store.save(
-            self.service.export_sessions(),
-            faults=faults
-            if faults is not None
-            else getattr(self.service, "fault_injector", None),
-        )
+        if faults is None:
+            faults = getattr(self.service, "fault_injector", None)
+        changed = self.service.changed_sessions()
+        for session, misses, document in changed:
+            self.store.save([document], faults=faults)
+            session.stored_misses = misses
+        return len(changed)
 
 
 __all__ = ["SnapshotStore", "StoreSaver"]

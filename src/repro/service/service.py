@@ -102,10 +102,10 @@ class ServiceResponse:
 
     When the service runs with a tracer, ``trace`` is the request's
     finished :class:`~repro.trace.RequestTrace` span tree (admission wait,
-    queue wait, chase, containment, restrict, serialize — with cache/memo
-    attribution) and ``plan_digests`` the protocol plan-set signature,
-    computed inside the trace's ``serialize`` span so the JSONL encoder
-    reuses it instead of re-hashing.
+    queue wait, store load, chase, containment, restrict, serialize — with
+    cache/memo attribution) and ``plan_digests`` the protocol plan-set
+    signature, computed inside the trace's ``serialize`` span so the JSONL
+    encoder reuses it instead of re-hashing.
     """
 
     request_id: object
@@ -431,18 +431,28 @@ class OptimizerService:  # repro-lint: ignore[pickle-safety] never pickled — e
         Entries are copied under their owner's lock, so this is safe under
         traffic; an entry landing mid-export may simply be missed.
         """
-        documents = []
+        return [
+            _encode(session) for shard in self._shards for session in shard.sessions()
+        ]
+
+    def changed_sessions(self):
+        """``(session, misses, document)`` for every loaded session that may
+        differ from its snapshot-store file: one this process has neither
+        loaded from nor saved to the store, or one that missed (computed a
+        fixpoint or a verdict) since it last did.  A session still loading is
+        skipped, so a save never writes a half-merged copy over its file.
+        The saver records ``misses`` as ``session.stored_misses`` once the
+        document is written.
+        """
+        changed = []
         for shard in self._shards:
             for session in shard.sessions():
-                state = Session(
-                    session.label,
-                    constraints_digest(session.signature),
-                    tuple(session.signature),
-                    session.registry.export_entries(),
-                    session.memo.export(),
-                )
-                documents.append(encode_session(state))
-        return documents
+                if not session.loaded.is_set():
+                    continue
+                misses = session.misses()
+                if misses != session.stored_misses:
+                    changed.append((session, misses, _encode(session)))
+        return changed
 
     def _merge(self, session):
         """The one merge path: install a decoded session; False if stale.
@@ -532,16 +542,18 @@ class OptimizerService:  # repro-lint: ignore[pickle-safety] never pickled — e
             )
             return 0, error
 
-    def _read_through(self, constraints):
+    def _read_through(self, session):
         """Load the store file of a session a request just created.
 
         Runs on the request's runner thread, outside the shard lock.  The
         file goes through :meth:`recover_caches`, whose merge reaches
         ``session_for`` without this hook, so one load never starts another.
+        A session that read its file holds what the file holds, so it is
+        stamped clean until it misses (see :meth:`changed_sessions`).
         """
-        path = self.store.path_for(constraints_digest(constraints))
-        if os.path.exists(path):
-            self.recover_caches(path)
+        path = self.store.path_for(constraints_digest(session.signature))
+        if os.path.exists(path) and self.recover_caches(path)[0]:
+            session.stored_misses = session.misses()
 
     def shutdown(self, wait=True):
         """Drain every shard and release the pools (idempotent)."""
@@ -558,6 +570,19 @@ class OptimizerService:  # repro-lint: ignore[pickle-safety] never pickled — e
     def __exit__(self, exc_type, exc, tb):
         self.shutdown()
         return False
+
+
+def _encode(session):
+    """One shard session as a session document (copied under its locks)."""
+    return encode_session(
+        Session(
+            session.label,
+            constraints_digest(session.signature),
+            tuple(session.signature),
+            session.registry.export_entries(),
+            session.memo.export(),
+        )
+    )
 
 
 __all__ = ["OptimizerService", "ServiceRequest", "ServiceResponse"]

@@ -96,6 +96,10 @@ class ShardSession:
     it; or at creation when the shard has no read-through.  Requests wait
     on it, so one that meets a session another request is still loading
     runs on the loaded state rather than on a cold one.
+
+    ``stored_misses`` is :meth:`misses` when this process last loaded or
+    saved the session's snapshot-store file (``None`` until it has): a
+    session whose misses have not moved since holds what its file holds.
     """
 
     label: str
@@ -105,6 +109,12 @@ class ShardSession:
     requests: int = 0
     created_at: float = field(default_factory=time.monotonic)
     loaded: threading.Event = field(default_factory=threading.Event, repr=False)
+    stored_misses: int | None = None
+
+    def misses(self):
+        """Chase-cache plus memo misses: each one a fixpoint or a verdict
+        this process computed (a merged entry is not a miss)."""
+        return self.registry.stats()["misses"] + self.memo.stats()["misses"]
 
 
 class _RunnerTask:
@@ -181,7 +191,7 @@ class Shard:  # repro-lint: ignore[pickle-safety] never pickled — the session 
         Optional :class:`~repro.service.observability.events.EventLog`;
         the shard emits ``runner.crashed`` / ``runner.restarted`` events.
     on_new_session:
-        Optional ``constraints -> None`` callable that a runner calls, outside
+        Optional ``session -> None`` callable that a runner calls, outside
         the lock and before the engine runs, when its request created the
         session (the service's snapshot-store read-through); other requests
         for that session wait until it returns.
@@ -445,12 +455,17 @@ class Shard:  # repro-lint: ignore[pickle-safety] never pickled — the session 
             maybe_fail(self._faults, "shard.execute", detail=request.request_id)
             constraints = request.resolved_constraints()
             session, created = self.session_for(constraints)
+            loading = time.perf_counter()
             if created and self._on_new_session is not None:
                 try:
-                    self._on_new_session(constraints)
+                    self._on_new_session(session)
                 finally:
                     session.loaded.set()
             session.loaded.wait()
+            if task.trace is not None:
+                # Store load: reading the new session's store file, or
+                # waiting for the request that reads it.
+                task.trace.record("store_load", time.perf_counter() - loading)
             with self._lock:
                 session.requests += 1
             stats_before = session.registry.stats()

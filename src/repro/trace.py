@@ -1,11 +1,11 @@
 """Request tracing primitives: per-stage span accumulation with zero deps.
 
 The serving tier (:mod:`repro.service`) wants a per-request breakdown of
-where time goes — admission wait vs. shard queue vs. chase fixpoints vs.
-containment checks vs. plan serialization.  The engine layers
-(:mod:`repro.chase`, :mod:`repro.cq`) cannot import the service package
-(layering), so the tracing core lives here at the package root and is pure
-stdlib: monotonic clocks, a lock, a ``threading.local``.
+where time goes — admission wait vs. shard queue vs. snapshot-store load
+vs. chase fixpoints vs. containment checks vs. plan serialization.  The
+engine layers (:mod:`repro.chase`, :mod:`repro.cq`) cannot import the
+service package (layering), so the tracing core lives here at the package
+root and is pure stdlib: monotonic clocks, a lock, a ``threading.local``.
 
 Design:
 
@@ -47,6 +47,7 @@ from contextlib import contextmanager
 STAGES = (
     "admission_wait",
     "queue_wait",
+    "store_load",
     "chase",
     "containment",
     "restrict",

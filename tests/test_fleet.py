@@ -32,7 +32,7 @@ import pytest
 
 from repro.chase.implication import constraints_digest
 from repro.schema.constraints import Dependency
-from repro.service import EventLog, OptimizerClient, OptimizerServer, OptimizerService
+from repro.service import EventLog, OptimizerClient, OptimizerServer, OptimizerService, Tracer
 from repro.service.fleet import FleetRouter, HashRing, SnapshotStore, StoreSaver, parse_backend
 from repro.service.protocol import WORKLOAD_BUILDERS, plan_digest
 from repro.service.shard import session_label, shard_index
@@ -483,6 +483,13 @@ def _serve(service, entry):
     )
 
 
+def _file_ids(store):
+    """``{path: (inode, mtime)}`` of every store file: a rewrite changes both."""
+    return {
+        path: (os.stat(path).st_ino, os.stat(path).st_mtime_ns) for path in _store_files(store)
+    }
+
+
 def _saved_store(tmp_path, entries):
     """A store holding one file per entry, saved by a 1-shard service;
     returns it with the saver's (cold) plan digests."""
@@ -512,6 +519,39 @@ class TestSnapshotStore:
             assert manager.save() == len(digests)
             assert manager.snapshots_written == 1
         assert len(_store_files(store)) == len(digests)
+
+    def test_a_warm_only_service_rewrites_no_file_at_drain(self, tmp_path):
+        """A service that read its sessions from the store and served them
+        warm learned nothing new: its drain-time save writes no file."""
+        store, _ = _saved_store(tmp_path, MIX[:2])
+        before = _file_ids(store)
+        with OptimizerService(shards=1, workers=1, store=store) as fresh:
+            for entry in MIX[:2]:
+                response, _, _ = _serve(fresh, entry)
+                assert response.metrics.cache_misses == response.metrics.memo_misses == 0
+            manager = SnapshotManager(StoreSaver(fresh, store), store.root)
+            manager.stop()  # the drain-time save
+            assert manager.snapshots_written == 1
+        assert _file_ids(store) == before
+
+    def test_a_session_that_missed_rewrites_only_its_own_file(self, tmp_path):
+        """Serving a new strategy on a stored catalog chases new fixpoints:
+        the next save rewrites that catalog's file and no other."""
+        store, _ = _saved_store(tmp_path, MIX[:2])
+        before = _file_ids(store)
+        name, params, strategy = MIX[1]
+        assert strategy == "ocs"
+        with OptimizerService(shards=1, workers=1, store=store) as fresh:
+            _serve(fresh, MIX[0])
+            response, _, digest = _serve(fresh, (name, params, "fb"))
+            assert response.metrics.cache_misses > 0
+            assert StoreSaver(fresh, store).save_caches("ignored-path") == 1
+            assert StoreSaver(fresh, store).save_caches("ignored-path") == 0
+        after = _file_ids(store)
+        assert sorted(after) == sorted(before)
+        assert {path for path in before if after[path] != before[path]} == {
+            store.path_for(digest)
+        }
 
     def test_corrupt_file_degrades_that_catalog_only(self, tmp_path):
         """A corrupt file costs its catalog one counted recovery and a cold,
@@ -569,18 +609,24 @@ class TestStoreReadThrough:
         self, tmp_path, monkeypatch
     ):
         """Two first contacts with one catalog, the load slowed down: one
-        request reads the file, the other waits for it, and both run warm."""
+        request reads the file, the other waits for it, and both run warm.
+        Each bills its part to the ``store_load`` stage: the reader the
+        slowed load, the waiter its wait."""
         store, cold = _saved_store(tmp_path, MIX[:1])
         recover = OptimizerService.recover_caches
+        readers = []
 
         def slow_recover(self, path):
+            readers.append(path)
             time.sleep(0.2)
             return recover(self, path)
 
         monkeypatch.setattr(OptimizerService, "recover_caches", slow_recover)
         name, params, strategy = MIX[0]
         workload = WORKLOAD_BUILDERS[name][0](**params)
-        with OptimizerService(shards=1, workers=1, max_inflight=2, store=store) as fresh:
+        with OptimizerService(
+            shards=1, workers=1, max_inflight=2, store=store, tracer=Tracer()
+        ) as fresh:
             futures = [
                 fresh.submit(workload.query, strategy=strategy, catalog=workload.catalog)
                 for _ in range(2)
@@ -592,6 +638,11 @@ class TestStoreReadThrough:
             assert plan_digest(response.result.plans) == cold[0]
             assert response.metrics.cache_misses == response.metrics.memo_misses == 0
         assert stats.snapshots_loaded == stats.sessions_restored == 1
+        assert len(readers) == 1
+        # The reader's store_load holds the slowed load; the waiter's, its wait.
+        loads = [response.trace.stage_seconds()["store_load"] for response in responses]
+        assert max(loads) >= 0.2
+        assert min(loads) > 0
 
     def test_sessions_from_a_boot_snapshot_serve_beside_the_store(self, tmp_path):
         """A ``--snapshot`` load creates its sessions through the merge path,

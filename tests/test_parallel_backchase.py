@@ -1,10 +1,14 @@
 """The wave-parallel backchase: executor plumbing and serial equivalence.
 
-The load-bearing property is that :class:`ParallelBackchase` — under every
-executor kind — produces plan sets *signature-identical* to the sequential
-:class:`FullBackchase` on the paper's workloads (the fig5/EC2 instances and
-EC1), with identical exploration counters.  The remaining tests cover the
-executor abstraction and the mergeable :class:`ChaseCache`.
+Both engines run one pruning walk, so the load-bearing property is that
+its pruning does not depend on where a wave is evaluated:
+:class:`ParallelBackchase` — under every executor kind — produces plan sets
+*signature-identical* to the inline :class:`FullBackchase` on the paper's
+workloads (the fig5/EC2 instances and EC1), with identical exploration
+counters.  The independent reference for the plan sets themselves is the
+brute-force backchase of ``tests/test_backchase_reference.py``.  The
+remaining tests cover the executor abstraction and the mergeable
+:class:`ChaseCache`.
 """
 
 import pytest
@@ -37,7 +41,7 @@ def _chased(workload):
 
 
 class TestSerialEquivalence:
-    """Plan sets and counters match the sequential engine exactly."""
+    """Plan sets and counters match the inline engine exactly."""
 
     @pytest.mark.parametrize(
         "executor,workers",
