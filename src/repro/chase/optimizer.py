@@ -213,7 +213,13 @@ class CBOptimizer:
     ----------
     catalog:
         A :class:`~repro.schema.catalog.Catalog`; provides both the
-        constraints and the skeletons needed by OQF.
+        constraints and the skeletons needed by OQF.  Every constraint view
+        here (:meth:`constraints`, :meth:`skeletons`,
+        :meth:`semantic_constraints`, a structure's extra constraints) reads
+        the catalog's one compile (:meth:`~repro.schema.catalog.Catalog.
+        compiled`), so a request on a known catalog compiles nothing, and an
+        OQF request on a query object it has seen reuses that object's
+        decomposition (:func:`~repro.chase.stratify.decompose_query`).
     constraints:
         Optional explicit constraint list overriding the catalog's.
     timeout:
@@ -291,11 +297,8 @@ class CBOptimizer:
     def semantic_constraints(self):
         """Return the semantic (non-skeleton) constraints."""
         if self.catalog is None:
-            skeleton_names = set()
-        else:
-            skeleton_names = {
-                dep.name for skeleton in self.skeletons() for dep in skeleton.constraints
-            }
+            return self.constraints()
+        skeleton_names = self.catalog.compiled().skeleton_names
         return [dep for dep in self.constraints() if dep.name not in skeleton_names]
 
     # ------------------------------------------------------------------ #
@@ -579,12 +582,9 @@ class CBOptimizer:
 
     def _extra_constraints_for(self, skeleton):
         """Return the auxiliary constraints of a structure (e.g. non-emptiness)."""
-        if self.catalog is None or skeleton.structure is None:
+        if self.catalog is None:
             return []
-        from repro.schema.compile import compile_structure
-
-        _, extras = compile_structure(skeleton.structure)
-        return list(extras)
+        return list(self.catalog.compiled().extras.get(skeleton.name, ()))
 
     # ------------------------------------------------------------------ #
     # OCS

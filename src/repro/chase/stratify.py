@@ -115,6 +115,45 @@ def decompose_query(query, skeletons):
     query), an edge whenever the images of two homomorphisms share a binding,
     fragments from the connected components, and a final fragment holding the
     bindings not covered by any skeleton image.
+
+    The decomposition reads nothing of a skeleton but its name and its
+    forward dependency, and every OQF request for a query asks for the same
+    one, so it is memoised on the query instance, like ``restrict_to``'s
+    table, keyed on each skeleton's ``(name, forward)`` in order.  The memo
+    holds the fragment queries, so their signatures and restrictions are
+    built once, and skeleton *positions*: each call gets fresh
+    :class:`Decomposition` and :class:`QueryFragment` containers holding
+    the caller's own skeletons (another catalog's equal skeleton may belong
+    to a structure with other extra constraints).  The table takes no lock:
+    two threads racing on a fresh key both build equal layouts, and either
+    store wins.
+    """
+    skeletons = list(skeletons)
+    key = tuple((skeleton.name, skeleton.forward) for skeleton in skeletons)
+    table = query.__dict__.get("_decompositions")
+    if table is None:
+        table = {}
+        object.__setattr__(query, "_decompositions", table)
+    layout = table.get(key)
+    if layout is None:
+        layout = table[key] = _decompose(query, skeletons)
+    fragments, cross_conditions = layout
+    return Decomposition(
+        query,
+        [
+            QueryFragment(index, group, fragment_query, [skeletons[at] for at in positions])
+            for index, (group, fragment_query, positions) in enumerate(fragments)
+        ],
+        list(cross_conditions),
+    )
+
+
+def _decompose(query, skeletons):
+    """The uncached body of :func:`decompose_query`, with skeleton positions.
+
+    Returns ``(fragments, cross_conditions)``: one ``(variables, fragment
+    query, skeleton positions)`` triple per fragment, and the cross-fragment
+    join conditions as tuples.
     """
     variables = list(query.variables)
     union = _UnionFind(variables)
@@ -122,15 +161,15 @@ def decompose_query(query, skeletons):
     # 1. Skeleton homomorphism images: bindings reached by the same image (or
     #    by overlapping images) end up in the same fragment.
     covered = set()
-    image_records = []  # (skeleton, image variable set)
+    image_records = []  # (skeleton position, image variable set)
     closure = query.congruence()
-    for skeleton in skeletons:
+    for position, skeleton in enumerate(skeletons):
         forward = skeleton.forward
         for mapping in find_homomorphisms(
             forward.universal, forward.premise, query, target_closure=closure
         ):
             image = {mapping[var].name for var in forward.universal_variables}
-            image_records.append((skeleton, frozenset(image)))
+            image_records.append((position, frozenset(image)))
             covered |= image
             anchor = next(iter(image))
             for var in image:
@@ -205,20 +244,18 @@ def decompose_query(query, skeletons):
             # fragment is not expressible over it, which the assignment above
             # prevents; guard anyway.
             fragment_query = query.with_output(tuple(outputs))
-        fragment_skeletons = [
-            skeleton for skeleton, image in image_records if image <= group
-        ]
         # The same skeleton may have several homomorphisms into one fragment;
         # its constraints are only needed once.
-        unique_skeletons = []
+        positions = []
         seen = set()
-        for skeleton in fragment_skeletons:
-            if skeleton.name not in seen:
-                seen.add(skeleton.name)
-                unique_skeletons.append(skeleton)
-        fragments.append(QueryFragment(index, group, fragment_query, unique_skeletons))
+        for position, image in image_records:
+            name = skeletons[position].name
+            if image <= group and name not in seen:
+                seen.add(name)
+                positions.append(position)
+        fragments.append((group, fragment_query, tuple(positions)))
 
-    return Decomposition(query, fragments, cross_conditions)
+    return tuple(fragments), tuple(cross_conditions)
 
 
 def assemble_plan(decomposition, fragment_plan_queries):

@@ -328,15 +328,17 @@ class PCQuery:
     def __getstate__(self):
         """Pickle state for the process-pool backchase (trusted local processes).
 
-        A copy of the instance dict without the memoised ``_signature`` and
-        ``_variable_set``: the receiver rebuilds them on first use, so a
-        payload carries the fields and the restriction table only.  The
-        table is copied too, so pickling never iterates a table a concurrent
-        request is still filling.
+        A copy of the instance dict without the memoised ``_signature``,
+        ``_variable_set`` and OQF decompositions (``_decompositions``, see
+        :func:`repro.chase.stratify.decompose_query`): the receiver rebuilds
+        them on first use, so a payload carries the fields and the
+        restriction table only.  The table is copied too, so pickling never
+        iterates a table a concurrent request is still filling.
         """
         state = dict(self.__dict__)
         state.pop("_signature", None)
         state.pop("_variable_set", None)
+        state.pop("_decompositions", None)
         table = state.get("_restrictions")
         if table is not None:
             state["_restrictions"] = dict(table)

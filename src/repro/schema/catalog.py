@@ -3,7 +3,8 @@
 A :class:`Catalog` bundles the logical schema, the physical schema, the
 compiled constraint set and (optionally) statistics.  It is the single object
 handed to :class:`repro.chase.optimizer.CBOptimizer` and to the execution
-engine's cost model.
+engine's cost model.  The constraint set is compiled once per set of
+declarations (:class:`CompiledConstraints`), not once per optimize call.
 """
 
 from __future__ import annotations
@@ -54,6 +55,60 @@ class Statistics:
         return 1.0 / max(1, self.distinct(name, attribute))
 
 
+@dataclass(frozen=True, eq=False)
+class CompiledConstraints:
+    """One compile of a catalog's declarations (see :meth:`Catalog.compiled`).
+
+    Attributes
+    ----------
+    stamp:
+        The lengths of the declaration lists this compile read (keys, foreign
+        keys, inverses, physical structures, custom dependencies).
+    semantic:
+        The compiled logical declarations, then the custom dependencies.
+    skeletons:
+        One skeleton per physical structure, in declaration order.
+    extras:
+        Structure name -> that structure's extra constraints (a secondary
+        index's non-emptiness constraint; empty for every other structure).
+    physical:
+        Each structure's forward and backward constraint, then its extras.
+    constraints:
+        ``semantic + physical``: the set chase and backchase use.
+    skeleton_names:
+        The names of every skeleton's forward and backward constraint.
+    """
+
+    stamp: tuple
+    semantic: tuple
+    skeletons: tuple
+    extras: dict
+    physical: tuple
+    constraints: tuple
+    skeleton_names: frozenset
+
+    @classmethod
+    def build(cls, stamp, logical, physical_schema, custom):
+        """Compile ``logical``'s declarations, then ``custom``, then every structure."""
+        semantic = tuple(compile_logical_constraints(logical)) + tuple(custom)
+        skeletons, extras, physical = [], {}, []
+        for structure in physical_schema.structures.values():
+            skeleton, structure_extras = compile_structure(structure)
+            skeletons.append(skeleton)
+            extras[skeleton.name] = tuple(structure_extras)
+            physical.extend(skeleton.constraints)
+            physical.extend(structure_extras)
+        return cls(
+            stamp,
+            semantic,
+            tuple(skeletons),
+            extras,
+            tuple(physical),
+            semantic + tuple(physical),
+            frozenset(dep.name for skeleton in skeletons for dep in skeleton.constraints),
+        )
+
+
 class Catalog:
     """Logical schema + physical schema + constraints + statistics.
 
@@ -65,6 +120,17 @@ class Catalog:
         catalog.add_key("R", ["K"])
         catalog.add_primary_index("PI_R", "R", ["K"])
         optimizer = CBOptimizer(catalog)
+
+    The constraints are a property of the declarations, not of any query, so
+    the catalog compiles them once (:meth:`compiled`) and every constraint
+    view below reads that one compile.  Declarations are append-only, so the
+    compile is kept with the lengths of the declaration lists it read, and
+    any later ``add_*``, through this façade or straight on ``logical`` or
+    ``physical``, recompiles on the next read.  The cache takes no lock:
+    two threads racing on a stale compile both build equal sets, and either
+    store wins.  The lengths are read before compiling, so a compile that
+    races a declaration is stored under the older lengths and the next read
+    compiles again; it never leaves a stale set behind.
     """
 
     def __init__(self, logical=None, physical=None, statistics=None):
@@ -72,6 +138,7 @@ class Catalog:
         self.physical = physical if physical is not None else PhysicalSchema()
         self.statistics = statistics if statistics is not None else Statistics()
         self._custom_constraints = []
+        self._compiled = None
 
     # ------------------------------------------------------------------ #
     # logical schema façade
@@ -131,30 +198,42 @@ class Catalog:
     # ------------------------------------------------------------------ #
     # compiled constraint views
     # ------------------------------------------------------------------ #
+    def compiled(self):
+        """Return the :class:`CompiledConstraints` of the current declarations.
+
+        Compiled on the first read and again after any declaration is added;
+        every other read returns the same object.
+        """
+        stamp = (
+            len(self.logical.keys),
+            len(self.logical.foreign_keys),
+            len(self.logical.inverses),
+            len(self.physical.structures),
+            len(self._custom_constraints),
+        )
+        compiled = self._compiled
+        if compiled is None or compiled.stamp != stamp:
+            compiled = CompiledConstraints.build(
+                stamp, self.logical, self.physical, self._custom_constraints
+            )
+            self._compiled = compiled
+        return compiled
+
     def skeletons(self):
         """Return the skeleton (constraint-pair) of every physical structure."""
-        result = []
-        for structure in self.physical.structures.values():
-            skeleton, _ = compile_structure(structure)
-            result.append(skeleton)
-        return result
+        return list(self.compiled().skeletons)
 
     def physical_constraints(self):
         """Return every constraint describing a physical structure."""
-        constraints = []
-        for structure in self.physical.structures.values():
-            skeleton, extras = compile_structure(structure)
-            constraints.extend(skeleton.constraints)
-            constraints.extend(extras)
-        return constraints
+        return list(self.compiled().physical)
 
     def semantic_constraints(self):
         """Return every semantic integrity constraint (including custom ones)."""
-        return compile_logical_constraints(self.logical) + list(self._custom_constraints)
+        return list(self.compiled().semantic)
 
     def constraints(self):
         """Return the full constraint set used by chase and backchase."""
-        return tuple(self.semantic_constraints() + self.physical_constraints())
+        return self.compiled().constraints
 
     def constraint(self, name):
         """Return the constraint with the given name.
@@ -185,4 +264,4 @@ class Catalog:
         return tuple(self.logical.collection_names()) + tuple(self.physical.names())
 
 
-__all__ = ["Catalog", "Statistics"]
+__all__ = ["Catalog", "CompiledConstraints", "Statistics"]

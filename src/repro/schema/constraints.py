@@ -81,6 +81,32 @@ class Dependency:
         return f"{self.name}: {format_dependency(self)}"
 
     # ------------------------------------------------------------------ #
+    # hashing
+    # ------------------------------------------------------------------ #
+    def __hash__(self):
+        """The hash of the fields, computed once per instance.
+
+        Every warm lookup hashes the catalog's whole constraint set
+        (``constraint_signature``, the OCS strata memo), and the generated
+        hash would walk every path of every dependency each time.  It is
+        kept in the instance dict like ``PCQuery.signature``: two threads
+        racing on a fresh instance both compute the same value, and either
+        store wins.
+        """
+        cached = self.__dict__.get("_hash")
+        if cached is None:
+            fields = (self.universal, self.premise, self.existential, self.conclusion)
+            cached = hash((self.name, *fields, self.kind))
+            object.__setattr__(self, "_hash", cached)
+        return cached
+
+    def __getstate__(self):
+        """Pickle state without the cached hash: ``hash()`` of a ``str`` is salted per process."""
+        state = dict(self.__dict__)
+        state.pop("_hash", None)
+        return state
+
+    # ------------------------------------------------------------------ #
     # classification
     # ------------------------------------------------------------------ #
     @property

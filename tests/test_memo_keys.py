@@ -4,9 +4,12 @@
   instance.  Every query a warm registry holds after EC1–EC3 runs (chase
   fixpoints and the subqueries in their restriction tables) carries keys
   equal to those of a freshly built equal query.
-* Pickling drops the memoised keys; the receiver rebuilds equal ones.
-* Repeating an FB or an OCS request on a warm registry and memo, with the
-  same query object, normalises no condition at all: every key is re-read.
+* Pickling drops the memoised keys, the OQF decompositions and a
+  dependency's cached hash; the receiver rebuilds equal ones.
+* Repeating an FB, OQF or OCS request on a warm registry and memo, with the
+  same query object, compiles no catalog declaration and normalises no
+  condition (every key is re-read), except that OQF signs the plans it
+  assembles from its fragments' plans, which are new queries every time.
 * ``stratify_constraints`` is memoised per constraint list: callers get
   fresh lists and results equal to the direct computation.
 * Racing threads on a fresh query all read the same key.
@@ -18,13 +21,20 @@ import threading
 
 import pytest
 
+import repro.chase.optimizer as optimizer_module
 from repro.chase.chase import chase
 from repro.chase.implication import ChaseCacheRegistry
 from repro.chase.optimizer import CBOptimizer
-from repro.chase.stratify import _UnionFind, constraints_interact, stratify_constraints
+from repro.chase.stratify import (
+    _UnionFind,
+    constraints_interact,
+    decompose_query,
+    stratify_constraints,
+)
 from repro.cq.memo import ContainmentMemo
 from repro.cq.query import PCQuery
 from repro.lang.ast import Eq
+from repro.schema.compile import compile_logical_constraints, compile_structure
 from repro.workloads import build_ec1, build_ec2, build_ec3
 
 JOIN_TIMEOUT = 60.0
@@ -36,6 +46,12 @@ def _workloads():
 
 def _fresh(query):
     return PCQuery(query.output, query.bindings, query.conditions)
+
+
+def _rebuild(workload):
+    """A freshly built workload with the same parameters: equal, but new objects."""
+    builders = {"EC1": build_ec1, "EC2": build_ec2, "EC3": build_ec3}
+    return builders[workload.name](**workload.params)
 
 
 def _held_queries(registry):
@@ -75,18 +91,43 @@ def test_pickling_drops_the_memoised_keys():
     workload = build_ec2(1, 3, 1)
     query = workload.query
     signature, variables = query.signature(), query.variable_set
-    assert {"_signature", "_variable_set"} <= set(query.__dict__)
+    decompose_query(query, workload.catalog.skeletons())
+    memoised = {"_signature", "_variable_set", "_decompositions"}
+    assert memoised <= set(query.__dict__)
     state = query.__getstate__()
-    assert "_signature" not in state and "_variable_set" not in state
+    assert not memoised & set(state)
     clone = pickle.loads(pickle.dumps(query))
-    assert "_signature" not in clone.__dict__ and "_variable_set" not in clone.__dict__
+    assert not memoised & set(clone.__dict__)
     assert clone == query
     assert clone.signature() == signature
     assert clone.variable_set == variables
 
+    # A dependency's hash is kept on the instance; hash() of a str is salted
+    # per process, so the cached value never travels.
+    dependency = workload.catalog.constraints()[0]
+    digest = hash(dependency)
+    assert "_hash" in dependency.__dict__
+    assert "_hash" not in dependency.__getstate__()
+    copy = pickle.loads(pickle.dumps(dependency))
+    assert "_hash" not in copy.__dict__
+    assert copy == dependency
+    assert hash(copy) == digest
+
+
+def _count_calls(monkeypatch, function, calls):
+    """Make every ``repro`` module's binding of ``function`` record its calls."""
+
+    def counting(*args, **kwargs):
+        calls.append(function.__name__)
+        return function(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "repro" and getattr(module, function.__name__, None) is function:
+            monkeypatch.setattr(module, function.__name__, counting)
+
 
 @pytest.mark.parametrize("workload", _workloads(), ids=lambda workload: workload.name)
-@pytest.mark.parametrize("strategy", ["fb", "ocs"])
+@pytest.mark.parametrize("strategy", ["fb", "oqf", "ocs"])
 def test_a_repeated_warm_request_rebuilds_no_key(monkeypatch, workload, strategy):
     optimizer = CBOptimizer(
         workload.catalog, cache_registry=ChaseCacheRegistry(), containment_memo=ContainmentMemo()
@@ -100,8 +141,24 @@ def test_a_repeated_warm_request_rebuilds_no_key(monkeypatch, workload, strategy
         return normalized(self)
 
     monkeypatch.setattr(Eq, "normalized", counting)
+    compiles = []
+    _count_calls(monkeypatch, compile_structure, compiles)
+    _count_calls(monkeypatch, compile_logical_constraints, compiles)
+    assembled = []
+    assemble = optimizer_module.assemble_plan
+
+    def assembling(*args):
+        assembled.append(assemble(*args))
+        return assembled[-1]
+
+    monkeypatch.setattr(optimizer_module, "assemble_plan", assembling)
     repeat = optimizer.optimize(workload.query, strategy=strategy)
-    assert calls == []
+    # The only conditions normalised are those of the assembled OQF plans,
+    # each once, when the plans are deduplicated.
+    signed = [condition for plan in assembled for condition in plan.conditions]
+    assert sorted(map(id, calls)) == sorted(map(id, signed))
+    assert bool(assembled) == (strategy == "oqf")
+    assert compiles == []
     assert repeat.cache_misses == 0
     assert {plan.signature() for plan in repeat.plans} == {plan.signature() for plan in first.plans}
 
@@ -138,7 +195,11 @@ def test_memoised_strata_equal_the_direct_partition(workload, egd_in_every_strat
     assert first == expected
     first[0].clear()
     first.append(["not a dependency"])
-    recompiled = workload.catalog.constraints()
+    # A catalog compiles once, so only a freshly built one hands out other
+    # (equal) dependency objects.
+    recompiled = _rebuild(workload).catalog.constraints()
+    assert recompiled == dependencies
+    assert not any(dep is mine for dep in recompiled for mine in dependencies)
     again = stratify_constraints(iter(recompiled), egd_in_every_stratum)
     assert again == expected
     # The caller's own dependency objects come back, not an earlier caller's.

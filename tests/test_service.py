@@ -95,8 +95,10 @@ class TestWarmCaches:
         assert first.metrics.cache_misses > 0
         assert second.metrics.cache_misses == 0
         assert second.metrics.cache_hits > 0
-        # ...and it is faster than the cold first call.
-        assert second.metrics.latency < first.metrics.latency
+        # ...and it is cheaper than the cold first call because it redoes no
+        # containment search either: every verdict is read from the memo.
+        assert second.metrics.memo_misses == 0
+        assert second.metrics.memo_hits > 0
 
     def test_sessions_are_per_constraint_set(self):
         ec2 = build_ec2(1, 3, 1)
