@@ -56,6 +56,7 @@ from repro.errors import ChaseTimeout
 from repro.chase.chase import ChaseCounters, deadline_passed
 from repro.chase.implication import ChaseCache, _has_containment_mapping
 from repro.chase.plans import Plan, dedupe_isomorphic_plans
+from repro.cq.containment import keep_search_schedule
 from repro.cq.homomorphism import SearchStats
 
 #: The executor kinds understood by :func:`make_executor`.
@@ -152,6 +153,8 @@ def _check_equivalence(original, universal_plan, subquery, cache, stats, deadlin
     during the cache-miss chase.
     """
     chased = cache.chase(subquery, deadline=deadline)
+    # The original is the source of every check's first direction.
+    keep_search_schedule(original)
     if memo is not None:
         if not memo.check(original, chased, stats=stats):
             return _NOT_CONTAINED

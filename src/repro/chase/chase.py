@@ -45,6 +45,7 @@ from repro.cq.homomorphism import (
     SearchStats,
     find_homomorphism,
     find_homomorphisms,
+    schedule_conditions,
 )
 from repro.cq.query import PCQuery, fresh_name
 from repro.lang.ast import Binding, Var, path_variables, schema_names, substitute
@@ -140,6 +141,7 @@ def applicable_homomorphisms(query, dependency, closure=None, index=None, stats=
     equality does not follow from the query's where clause (EGD).
     """
     closure = closure if closure is not None else query.congruence()
+    plan = _search_plan(dependency)
     for mapping in find_homomorphisms(
         dependency.universal,
         dependency.premise,
@@ -148,6 +150,7 @@ def applicable_homomorphisms(query, dependency, closure=None, index=None, stats=
         target_index=index,
         stats=stats,
         use_index=use_index,
+        schedule=plan.universal,
     ):
         if dependency.is_egd:
             violated = []
@@ -171,6 +174,7 @@ def applicable_homomorphisms(query, dependency, closure=None, index=None, stats=
                 target_index=index,
                 stats=stats,
                 use_index=use_index,
+                schedule=plan.existential,
             )
             if extension is None:
                 yield mapping, None
@@ -383,7 +387,7 @@ def _chase_incremental(query, dependencies, max_rounds, max_size, stats, counter
     """Semi-naive fixpoint: evolving closure + trigger-indexed dirty set."""
     current = query
     closure = current.private_congruence()
-    index = BindingIndex(current.bindings, closure)
+    index = BindingIndex(list(current.bindings))
 
     # Head map: variable -> frozenset of collection names its range reaches
     # (None = unknown head, treated as matching every trigger).
@@ -391,7 +395,7 @@ def _chase_incremental(query, dependencies, max_rounds, max_size, stats, counter
     for binding in current.bindings:
         var_heads[binding.var] = _path_heads(binding.range, var_heads)
 
-    triggers = [_dependency_triggers(dependency) for dependency in dependencies]
+    triggers = [_search_plan(dependency).triggers for dependency in dependencies]
     dirty = set(range(len(dependencies)))
     verify_baseline = set()
     verifying = False
@@ -439,7 +443,7 @@ def _chase_incremental(query, dependencies, max_rounds, max_size, stats, counter
                 for added_binding in added:
                     closure.add_term(Var(added_binding.var))
                     closure.add_term(added_binding.range)
-                    index.add_binding(added_binding, stats=stats)
+                    index.add_binding(added_binding, closure, stats=stats)
                     var_heads[added_binding.var] = _path_heads(added_binding.range, var_heads)
                 for condition in step.added_conditions:
                     closure.merge(condition.left, condition.right)
@@ -501,6 +505,45 @@ def _path_heads(path, var_heads):
             return None
         heads |= resolved
     return frozenset(heads)
+
+
+@dataclass(frozen=True, slots=True)
+class _SearchPlan:
+    """What the chase derives from a dependency alone, kept on the dependency.
+
+    ``universal`` is the condition schedule of the search for the universal
+    part, ``existential`` that of its extension to the existential part
+    (whose pre-assigned variables are the universal ones), and ``triggers``
+    the ``(head names, wildcard)`` pair of :func:`_dependency_triggers`.
+    """
+
+    universal: tuple
+    existential: tuple
+    triggers: tuple
+
+
+def _search_plan(dependency):
+    """Return the dependency's :class:`_SearchPlan`, built once per instance.
+
+    Every chase checks every dependency, and the plan depends on the
+    dependency's fields alone.  It is kept in the dependency's instance
+    dict (``_search_plan``), like its hash, and
+    ``Dependency.__getstate__`` drops it.  A catalog compiles its
+    dependencies once, so the plan lives as long as the catalog's compile.
+    Two threads racing on a fresh dependency both build equal plans, and
+    either store wins.
+    """
+    plan = dependency.__dict__.get("_search_plan")
+    if plan is None:
+        plan = _SearchPlan(
+            schedule_conditions(dependency.universal, dependency.premise),
+            schedule_conditions(
+                dependency.existential, dependency.conclusion, dependency.universal_variables
+            ),
+            _dependency_triggers(dependency),
+        )
+        object.__setattr__(dependency, "_search_plan", plan)
+    return plan
 
 
 def _dependency_triggers(dependency):

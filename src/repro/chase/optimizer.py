@@ -517,6 +517,9 @@ class CBOptimizer:
             for skeleton in fragment.skeletons:
                 fragment_constraints.extend(skeleton.constraints)
                 fragment_constraints.extend(self._extra_constraints_for(skeleton))
+            # A secondary index's ``_nonempty`` is both a semantic constraint
+            # and its skeleton's extra; chase it once, at its first place.
+            fragment_constraints = list(dict.fromkeys(fragment_constraints))
             tasks.append(
                 _StageTask(
                     fragment.query,

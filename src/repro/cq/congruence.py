@@ -65,6 +65,9 @@ class CongruenceClosure:
         # slot owned by repro.cq.homomorphism: the shared candidate index for
         # the query this closure was built from (None until first search)
         self.binding_index = None
+        # slot owned by repro.cq.query: the class layout restrictions read
+        # (None until the first restriction against this closure)
+        self.restriction_layout = None
         if equalities:
             for equality in equalities:
                 self.merge(equality.left, equality.right)

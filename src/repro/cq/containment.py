@@ -14,7 +14,7 @@ primitives it builds on.
 from __future__ import annotations
 
 from repro.lang.ast import substitute
-from repro.cq.homomorphism import find_homomorphisms
+from repro.cq.homomorphism import find_homomorphisms, schedule_conditions
 from repro.trace import traced_stage
 
 
@@ -45,7 +45,11 @@ def find_containment_mapping(source, target):
     """
     closure = target.congruence()
     for mapping in find_homomorphisms(
-        source.bindings, source.conditions, target, target_closure=closure
+        source.bindings,
+        source.conditions,
+        target,
+        target_closure=closure,
+        schedule=source.__dict__.get("_search_schedule"),
     ):
         if outputs_match(source, target, mapping, target_closure=closure):
             return mapping
@@ -64,11 +68,36 @@ def has_containment_mapping(source, target, stats=None):
     """
     closure = target.congruence()
     for mapping in find_homomorphisms(
-        source.bindings, source.conditions, target, target_closure=closure, stats=stats
+        source.bindings,
+        source.conditions,
+        target,
+        target_closure=closure,
+        stats=stats,
+        schedule=source.__dict__.get("_search_schedule"),
     ):
         if outputs_match(source, target, mapping, target_closure=closure):
             return True
     return False
+
+
+def keep_search_schedule(source):
+    """Keep the condition schedule of ``source`` as a containment source on the query.
+
+    The schedule depends only on the query's bindings and conditions.  A
+    source that is searched many times keeps it in its instance dict
+    (``_search_schedule``, read by every containment search from it), like
+    ``PCQuery.signature``, and pickling drops it: the backchase keeps the
+    schedule of its original query, the source of every check's first
+    direction.  Other sources, such as the subqueries of the second
+    direction, are searched about once each, and build theirs per search
+    rather than hold one for the life of the query.  Two threads racing on
+    a fresh query both build equal schedules, and either store wins.
+    """
+    schedule = source.__dict__.get("_search_schedule")
+    if schedule is None:
+        schedule = schedule_conditions(source.bindings, source.conditions)
+        object.__setattr__(source, "_search_schedule", schedule)
+    return schedule
 
 
 def is_contained_in(query, other):
@@ -125,6 +154,7 @@ __all__ = [
     "is_contained_in",
     "is_equivalent",
     "is_minimal",
+    "keep_search_schedule",
     "minimize",
     "outputs_match",
 ]

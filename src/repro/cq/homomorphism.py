@@ -65,43 +65,55 @@ class BindingIndex:
     Buckets the target bindings by the congruence root of their range, so the
     search finds every binding whose range equals a given path (modulo the
     target's where clause) with a single ``root_of`` query instead of a scan.
-    A by-name map answers the pre-assigned-variable lookup of
-    ``_range_matches`` in O(1).
+    A by-name map of binding positions answers the pre-assigned-variable
+    lookup of ``_range_matches`` in O(1).
 
     The index tracks the closure generation it was built at; any union in the
     closure (searches intern new terms, the chase asserts new equalities)
     invalidates the root keys and triggers a lazy rebuild, which only re-finds
     the root of each binding range (the ranges themselves are already
     interned, so a rebuild can never cause further unions).
+
+    The index holds no reference to its closure: every call that reads the
+    closure takes it as an argument, and the caller passes the one the index
+    was built over.  A query's shared closure caches its index
+    (``CongruenceClosure.binding_index``), and an index pointing back at the
+    closure would make the pair a reference cycle, so a closure dropped from
+    the shared cache would wait for the cycle collector instead of being
+    freed with its last reference.
+
+    ``bindings`` is kept as given, not copied: a shared closure's index
+    holds its query's own binding tuple for as long as the closure is
+    cached, and the incremental chase passes a list that
+    :meth:`add_binding` extends.
     """
 
-    def __init__(self, bindings, closure):
-        self.bindings = list(bindings)
-        self.closure = closure
-        self._by_var = {binding.var: binding for binding in self.bindings}
-        self._positions = {binding.var: i for i, binding in enumerate(self.bindings)}
+    def __init__(self, bindings):
+        self.bindings = bindings
+        self._positions = {binding.var: i for i, binding in enumerate(bindings)}
         self._by_range_root = {}
         self._generation = None
         self._union_mark = 0
 
     def covers(self, bindings):
         """Return ``True`` when the index is built over exactly ``bindings``."""
-        return len(self.bindings) == len(bindings) and all(
-            mine == theirs for mine, theirs in zip(self.bindings, bindings)
+        return self.bindings is bindings or (
+            len(self.bindings) == len(bindings)
+            and all(mine == theirs for mine, theirs in zip(self.bindings, bindings))
         )
 
-    def _rebuild(self, stats=None):
+    def _rebuild(self, closure, stats=None):
         by_root = {}
         for binding in self.bindings:
             if stats is not None:
                 stats.closure_queries += 1
-            root = self.closure.root_of(binding.range)
+            root = closure.root_of(binding.range)
             by_root.setdefault(root, []).append(binding)
         self._by_range_root = by_root
-        self._generation = self.closure.generation
-        self._union_mark = self.closure.union_count
+        self._generation = closure.generation
+        self._union_mark = closure.union_count
 
-    def _sync(self, stats=None):
+    def _sync(self, closure, stats=None):
         """Repair the buckets after closure unions, with dictionary moves only.
 
         Entries keyed by an absorbed root belong to the surviving root of the
@@ -110,13 +122,13 @@ class BindingIndex:
         candidate enumeration order stays identical to a scan of the target
         bindings (the chase relies on this for deterministic step order).
         """
-        if self._generation == self.closure.generation:
+        if self._generation == closure.generation:
             return
         if self._generation is None:
-            self._rebuild(stats)
+            self._rebuild(closure, stats)
             return
         merged_keys = []
-        for surviving, absorbed in self.closure.union_pairs_since(self._union_mark):
+        for surviving, absorbed in closure.union_pairs_since(self._union_mark):
             moved = self._by_range_root.pop(absorbed, None)
             if moved is not None:
                 self._by_range_root.setdefault(surviving, []).extend(moved)
@@ -125,38 +137,39 @@ class BindingIndex:
             bucket = self._by_range_root.get(key)
             if bucket is not None and len(bucket) > 1:
                 bucket.sort(key=lambda binding: self._positions[binding.var])
-        self._generation = self.closure.generation
-        self._union_mark = self.closure.union_count
+        self._generation = closure.generation
+        self._union_mark = closure.union_count
 
-    def add_binding(self, binding, stats=None):
+    def add_binding(self, binding, closure, stats=None):
         """Register a binding appended to the target (incremental chase)."""
         self.bindings.append(binding)
-        self._by_var[binding.var] = binding
         self._positions[binding.var] = len(self.bindings) - 1
         if self._generation is None:
             return
         if stats is not None:
             stats.closure_queries += 1
-        root = self.closure.root_of(binding.range)
-        self._sync(stats)
+        root = closure.root_of(binding.range)
+        self._sync(closure, stats)
         self._by_range_root.setdefault(root, []).append(binding)
 
-    def candidates(self, image_range, stats=None):
+    def candidates(self, image_range, closure, stats=None):
         """Return the target bindings whose range equals ``image_range``.
 
         The result is a snapshot: the live buckets may be repaired by a later
         ``_sync`` while a caller is still iterating (the backtracking search
-        holds suspended generators), so the mutable list is never exposed.
+        holds suspended candidate iterators), so the mutable list is never
+        exposed.
         """
         if stats is not None:
             stats.closure_queries += 1
-        root = self.closure.root_of(image_range)
-        self._sync(stats)
+        root = closure.root_of(image_range)
+        self._sync(closure, stats)
         return tuple(self._by_range_root.get(root, ()))
 
     def binding_named(self, name):
         """Return the target binding of variable ``name`` (or ``None``)."""
-        return self._by_var.get(name)
+        position = self._positions.get(name)
+        return None if position is None else self.bindings[position]
 
 
 def _index_for(target, closure):
@@ -176,8 +189,8 @@ def _index_for(target, closure):
     """
     index = closure.binding_index
     if index is None or not index.covers(target.bindings):
-        index = BindingIndex(target.bindings, closure)
-        index._rebuild()
+        index = BindingIndex(target.bindings)
+        index._rebuild(closure)
         closure.binding_index = index
     return index
 
@@ -193,6 +206,7 @@ def find_homomorphisms(
     target_index=None,
     stats=None,
     use_index=True,
+    schedule=None,
 ):
     """Yield every homomorphism from the source into ``target``.
 
@@ -226,110 +240,118 @@ def find_homomorphisms(
         When ``False``, candidate lookup scans every target binding with one
         closure query each (the pre-index behaviour, kept for the ablation
         benchmark).
+    schedule:
+        Optional :func:`schedule_conditions` result for exactly these source
+        bindings, conditions and pre-assigned variables (the keys of
+        ``initial``).  A source searched many times keeps its schedule:
+        the chase's dependencies do, and so does the backchase's original
+        query (:func:`repro.cq.containment.keep_search_schedule`).
 
     Yields
     ------
     dict
         Mappings from source variable names to :class:`~repro.lang.ast.Var`
         paths over the target.
+
+    The search is one backtracking loop over an explicit stack of candidate
+    iterators, in this generator alone.  It must stay free of reference
+    cycles: a nested generator calling itself through its closure cell
+    would make every search (tens of thousands per cold request) a cycle,
+    keeping its mapping, schedule, candidate tuples and suspended frames
+    alive until the cycle collector runs.  Without one, the last reference
+    to the generator frees everything, also when :func:`find_homomorphism`
+    abandons it after its first mapping.  The mappings come in depth-first
+    order, lexicographic in the target positions of the source bindings'
+    images, which the chase's step order (and so every plan) depends on.
     """
-    bindings = list(source_bindings)
-    conditions = list(source_conditions)
+    bindings = tuple(source_bindings)
+    conditions = tuple(source_conditions)
     closure = target_closure if target_closure is not None else target.congruence()
     mapping = dict(initial) if initial else {}
 
     # Conditions indexed by the position of the last source binding they need,
     # so each is checked exactly once, as early as possible.
-    condition_schedule = _schedule_conditions(bindings, conditions, mapping)
+    if schedule is None:
+        schedule = schedule_conditions(bindings, conditions, mapping)
 
-    target_bindings = list(target.bindings)
     if use_index:
         index = target_index if target_index is not None else _index_for(target, closure)
     else:
         index = None
+    target_bindings = target.bindings
 
-    # Multiset of target variable names already used as images, so the
-    # injective check is a set probe instead of a scan over the mapping.
-    used_names = {}
-    for value in mapping.values():
-        if isinstance(value, Var):
-            used_names[value.name] = used_names.get(value.name, 0) + 1
-
-    def candidate_bindings(image_range):
-        if index is not None:
-            return index.candidates(image_range, stats)
-        matches = []
-        for target_binding in target_bindings:
-            if stats is not None:
-                stats.closure_queries += 1
-            if closure.equal(image_range, target_binding.range):
-                matches.append(target_binding)
-        return matches
-
-    def extend(position):
-        if position == len(bindings):
+    # With no source bindings the search never visits a position, so the
+    # conditions whose variables are all pre-assigned (the schedule's one
+    # entry) are checked here; otherwise an invalid initial mapping would be
+    # yielded.
+    if not bindings:
+        if _conditions_hold(schedule[0], mapping, closure, True, stats):
             yield dict(mapping)
-            return
+        return
+
+    # Target variables already used as images; only the injective mode reads
+    # it.  A name the search assigns was not in it before (the injective
+    # check skips those), so discarding it on backtracking is exact.
+    used = {value.name for value in mapping.values() if isinstance(value, Var)} if injective else None
+
+    depth = len(bindings)
+    # Per position: the iterator over its remaining candidates (``None``
+    # until the position is entered, ``()`` for a pre-assigned variable),
+    # and the target variable it is assigned to (``None`` when unassigned).
+    iterators = [None] * depth
+    chosen = [None] * depth
+    position = 0
+    while position >= 0:
+        if position == depth:
+            # When pruning is disabled all conditions are checked here.
+            if prune_early or _conditions_hold(conditions, mapping, closure, True, stats):
+                yield dict(mapping)
+            position -= 1
+            continue
         source_binding = bindings[position]
-        if source_binding.var in mapping:
-            # Pre-assigned by the initial mapping: only verify the range.
+        var = source_binding.var
+        remaining = iterators[position]
+        if remaining is None:
             image_range = substitute(source_binding.range, mapping)
-            assigned = mapping[source_binding.var]
-            if _range_matches(assigned, image_range, index, target_bindings, closure, stats):
-                if _conditions_hold(condition_schedule[position], mapping, closure, prune_early, stats):
-                    yield from extend(position + 1)
-            return
-        image_range = substitute(source_binding.range, mapping)
-        for target_binding in candidate_bindings(image_range):
-            if injective and used_names.get(target_binding.var):
+            if var in mapping:
+                # Pre-assigned by the initial mapping: only verify the range.
+                if _range_matches(
+                    mapping[var], image_range, index, target_bindings, closure, stats
+                ) and _conditions_hold(schedule[position], mapping, closure, prune_early, stats):
+                    iterators[position] = ()
+                    position += 1
+                else:
+                    position -= 1
+                continue
+            if index is not None:
+                remaining = iter(index.candidates(image_range, closure, stats))
+            else:
+                remaining = iter(_scan_candidates(image_range, target_bindings, closure, stats))
+            iterators[position] = remaining
+        else:
+            name = chosen[position]
+            if name is not None:
+                chosen[position] = None
+                del mapping[var]
+                if injective:
+                    used.discard(name)
+        for target_binding in remaining:
+            name = target_binding.var
+            if injective and name in used:
                 continue
             if stats is not None:
                 stats.candidates_tried += 1
-            mapping[source_binding.var] = Var(target_binding.var)
-            used_names[target_binding.var] = used_names.get(target_binding.var, 0) + 1
-            if _conditions_hold(condition_schedule[position], mapping, closure, prune_early, stats):
-                yield from extend(position + 1)
-            del mapping[source_binding.var]
-            remaining = used_names[target_binding.var] - 1
-            if remaining:
-                used_names[target_binding.var] = remaining
-            else:
-                del used_names[target_binding.var]
-
-    # With no source bindings the search never visits a position, so the
-    # conditions whose variables are all pre-assigned (schedule slot 0) are
-    # checked here; otherwise an invalid initial mapping would be yielded.
-    if not bindings:
-        for condition in condition_schedule.preassigned():
-            if stats is not None:
-                stats.closure_queries += 1
-                stats.conditions_checked += 1
-            image = condition.substitute(mapping)
-            if not closure.equal(image.left, image.right):
-                return
-        yield dict(mapping)
-        return
-
-    # When pruning is disabled all conditions are checked at the end.
-    if not prune_early:
-        final_conditions = conditions
-
-        def check_all(candidate):
-            for condition in final_conditions:
-                if stats is not None:
-                    stats.closure_queries += 1
-                    stats.conditions_checked += 1
-                image = condition.substitute(candidate)
-                if not closure.equal(image.left, image.right):
-                    return False
-            return True
-
-        for candidate in extend(0):
-            if check_all(candidate):
-                yield candidate
-        return
-
-    yield from extend(0)
+            mapping[var] = Var(name)
+            if _conditions_hold(schedule[position], mapping, closure, prune_early, stats):
+                chosen[position] = name
+                if injective:
+                    used.add(name)
+                position += 1
+                break
+            del mapping[var]
+        else:
+            iterators[position] = None
+            position -= 1
 
 
 def find_homomorphism(source_bindings, source_conditions, target, **kwargs):
@@ -353,43 +375,28 @@ def query_homomorphisms(source, target, **kwargs):
     yield from find_homomorphisms(source.bindings, source.conditions, target, **kwargs)
 
 
-def _schedule_conditions(bindings, conditions, initial_mapping):
-    """Assign each condition to the earliest binding position where it is checkable."""
+def schedule_conditions(bindings, conditions, preassigned=()):
+    """Assign each condition to the earliest binding position where it is checkable.
+
+    Returns a tuple with one entry per binding (one entry when there is
+    none): entry ``i`` holds the conditions that become fully instantiated
+    once binding ``i`` is assigned, and entry 0 also those checkable before
+    any binding is, whose variables are all constant or pre-assigned.
+    ``preassigned`` holds the source variables the initial mapping already
+    assigns.  The result depends on nothing else and is immutable, so a
+    source searched many times keeps one (see :func:`find_homomorphisms`'s
+    ``schedule``) and concurrent searches share it.
+    """
     positions = {binding.var: index for index, binding in enumerate(bindings)}
-    schedule = [[] for _ in range(len(bindings) + 1)]
-    pre_assigned = set(initial_mapping or ())
+    slots = [[] for _ in range(len(bindings) + 1)]
+    pre_assigned = set(preassigned)
     for condition in conditions:
         variables = path_variables(condition.left) | path_variables(condition.right)
         needed = [positions[var] for var in variables if var in positions and var not in pre_assigned]
-        slot = (max(needed) + 1) if needed else 0
-        schedule[min(slot, len(bindings))].append(condition)
-    # Conditions whose variables are all pre-assigned (or constant) are checked
-    # before the search starts, via slot 0 of the first extension call; to keep
-    # the generator simple they are attached to position 0's check as well.
-    return _CumulativeSchedule(schedule)
-
-
-class _CumulativeSchedule:
-    """Lookup of the conditions to (re)check right after assigning position ``i``.
-
-    Position ``i`` in the schedule list holds the conditions that become fully
-    instantiated once binding ``i - 1`` is assigned; the conditions at slot 0
-    are checkable immediately and are validated when the first binding is
-    processed.
-    """
-
-    def __init__(self, slots):
-        self._slots = slots
-
-    def __getitem__(self, position):
-        checks = list(self._slots[position + 1]) if position + 1 < len(self._slots) else []
-        if position == 0:
-            checks = list(self._slots[0]) + checks
-        return checks
-
-    def preassigned(self):
-        """The conditions checkable before any binding is assigned (slot 0)."""
-        return list(self._slots[0])
+        slots[max(needed) + 1 if needed else 0].append(condition)
+    checks = [tuple(slot) for slot in slots[1:]] or [()]
+    checks[0] = tuple(slots[0]) + checks[0]
+    return tuple(checks)
 
 
 def _conditions_hold(conditions, mapping, closure, prune_early, stats=None):
@@ -403,6 +410,17 @@ def _conditions_hold(conditions, mapping, closure, prune_early, stats=None):
         if not closure.equal(image.left, image.right):
             return False
     return True
+
+
+def _scan_candidates(image_range, target_bindings, closure, stats=None):
+    """The target bindings whose range equals ``image_range``, by a full scan."""
+    matches = []
+    for target_binding in target_bindings:
+        if stats is not None:
+            stats.closure_queries += 1
+        if closure.equal(image_range, target_binding.range):
+            matches.append(target_binding)
+    return matches
 
 
 def _range_matches(assigned, image_range, index, target_bindings, closure, stats=None):
@@ -431,4 +449,5 @@ __all__ = [
     "find_homomorphism",
     "find_homomorphisms",
     "query_homomorphisms",
+    "schedule_conditions",
 ]

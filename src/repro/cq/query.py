@@ -328,17 +328,19 @@ class PCQuery:
     def __getstate__(self):
         """Pickle state for the process-pool backchase (trusted local processes).
 
-        A copy of the instance dict without the memoised ``_signature``,
-        ``_variable_set`` and OQF decompositions (``_decompositions``, see
-        :func:`repro.chase.stratify.decompose_query`): the receiver rebuilds
-        them on first use, so a payload carries the fields and the
-        restriction table only.  The table is copied too, so pickling never
-        iterates a table a concurrent request is still filling.
+        A copy of the instance dict without the memoised ``_hash``,
+        ``_signature``, ``_variable_set``, containment search schedule
+        (``_search_schedule``, see :func:`repro.cq.containment.
+        keep_search_schedule`) and OQF decompositions (``_decompositions``,
+        see :func:`repro.chase.stratify.decompose_query`): the receiver
+        rebuilds them on first use (``hash()`` of a ``str`` is salted per
+        process), so a payload carries the fields and the restriction table
+        only.  The table is copied too, so pickling
+        never iterates a table a concurrent request is still filling.
         """
         state = dict(self.__dict__)
-        state.pop("_signature", None)
-        state.pop("_variable_set", None)
-        state.pop("_decompositions", None)
+        for memo in _INSTANCE_MEMOS:
+            state.pop(memo, None)
         table = state.get("_restrictions")
         if table is not None:
             state["_restrictions"] = dict(table)
@@ -351,6 +353,23 @@ class PCQuery:
     # ------------------------------------------------------------------ #
     # memoisation keys
     # ------------------------------------------------------------------ #
+    def __hash__(self):
+        """The hash of the fields, computed once per instance.
+
+        The process-wide congruence caches (``_shared_congruence``,
+        ``_shared_saturated_congruence``) are keyed on the query, and the
+        generated hash would walk every path of a universal plan on each
+        lookup; ``restrict_to`` asks for the same plan's saturated closure
+        thousands of times a request.  Kept in the instance dict like
+        :meth:`signature`: two threads racing on a fresh instance both
+        compute the same value, and either store wins.
+        """
+        cached = self.__dict__.get("_hash")
+        if cached is None:
+            cached = hash((self.output, self.bindings, self.conditions))
+            object.__setattr__(self, "_hash", cached)
+        return cached
+
     def signature(self):
         """A hashable, order-insensitive key for caching chase results.
 
@@ -372,6 +391,10 @@ class PCQuery:
             )
             object.__setattr__(self, "_signature", signature)
         return signature
+
+
+#: Values memoised in a query's instance dict, which pickling drops.
+_INSTANCE_MEMOS = ("_hash", "_signature", "_variable_set", "_search_schedule", "_decompositions")
 
 
 def fresh_name(base, taken):
@@ -428,14 +451,23 @@ def _restricted_conditions(closure, keep_vars):
     dropped).  Redundant equalities (those already implied by the ones kept
     so far, e.g. ``M[x] = M[y]`` next to ``x = y``) are filtered out so the
     resulting subquery stays readable and cheap to execute.
+
+    The classes come from the closure's :class:`_RestrictionLayout`, with
+    their members already in anchor order: filtering a list sorted by a
+    stable sort keeps the order that sorting the survivors would give.
     """
+    layout = _restriction_layout(closure)
+    dropped = 0
+    for bit, var in enumerate(layout.variables):
+        if var not in keep_vars:
+            dropped |= 1 << bit
     candidates = []
-    for cls in closure.classes():
-        survivors = [term for term in cls if path_variables(term) <= keep_vars]
-        survivors = _dedupe(survivors)
+    for members in layout.classes:
+        survivors = [
+            members[at] for at in range(0, len(members), 2) if not members[at + 1] & dropped
+        ]
         if len(survivors) < 2:
             continue
-        survivors.sort(key=lambda term: (_composite_rank(term), len(str(term)), str(term)))
         anchor = survivors[0]
         for other in survivors[1:]:
             candidates.append(Eq(anchor, other).normalized())
@@ -450,6 +482,66 @@ def _restricted_conditions(closure, keep_vars):
     return tuple(sorted(kept, key=str))
 
 
+@dataclass(frozen=True, slots=True)
+class _RestrictionLayout:
+    """The classes of a saturated closure as every restriction reads them.
+
+    ``classes`` holds one flat ``(term, mask, term, mask, ...)`` tuple per
+    class of at least two terms, in the order of
+    :meth:`CongruenceClosure.classes`, with the terms sorted by anchor
+    preference (:func:`_anchor_key`); a term's mask has bit ``i`` set when
+    ``variables[i]`` occurs in it.  ``key`` is the closure's ``(term count,
+    generation)`` when the layout was read: a restriction whose output
+    rewrite interns a term, or merges classes, changes it, and the next
+    restriction rebuilds the layout.
+    """
+
+    key: tuple
+    variables: tuple
+    classes: tuple
+
+
+def _restriction_layout(closure):
+    """Return the :class:`_RestrictionLayout` of ``closure``, built once per state.
+
+    A backchase restricts the same universal plan thousands of times, and
+    the classes, their anchor order and each term's variables depend on
+    the closure alone.  The layout is kept on the closure
+    (``CongruenceClosure.restriction_layout``) and holds terms, not the
+    closure, so it forms no reference cycle.  It is lock-free like
+    ``PCQuery.signature``: the key is read before the build, so a build
+    that races a mutation is stored under the older key and rebuilt on the
+    next lookup, and two threads racing on one state build equal layouts,
+    either of which may be stored.
+    """
+    key = (len(closure), closure.generation)
+    layout = closure.restriction_layout
+    if layout is not None and layout.key == key:
+        return layout
+    bits = {}
+    shared = {}
+    classes = []
+    for members in closure.classes():
+        if len(members) < 2:
+            continue
+        entries = []
+        for term in sorted(members, key=_anchor_key):
+            mask = 0
+            for var in path_variables(term):
+                mask |= 1 << bits.setdefault(var, len(bits))
+            # One int per distinct variable set, shared by its terms.
+            entries += (term, shared.setdefault(mask, mask))
+        classes.append(tuple(entries))
+    layout = _RestrictionLayout(key, tuple(bits), tuple(classes))
+    closure.restriction_layout = layout
+    return layout
+
+
+def _anchor_key(term):
+    """The order in which a class's members are preferred as anchors."""
+    return (_composite_rank(term), len(str(term)), str(term))
+
+
 def _composite_rank(path):
     """Order paths so that variables and attributes are preferred as anchors."""
     if isinstance(path, Var):
@@ -457,16 +549,6 @@ def _composite_rank(path):
     if isinstance(path, (Attr,)):
         return 1
     return 2
-
-
-def _dedupe(paths):
-    seen = set()
-    result = []
-    for path in paths:
-        if path not in seen:
-            seen.add(path)
-            result.append(path)
-    return result
 
 
 def _build_restriction(query, keep, extra_output):

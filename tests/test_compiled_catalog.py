@@ -9,6 +9,8 @@
   primary vs a secondary index: the decomposition memo serves both, and each
   OQF run still gets its own catalog's skeletons and fragment constraints,
   so ``_nonempty`` appears under the secondary index only.
+* No OQF fragment task chases a dependency twice: a secondary index's
+  ``_nonempty`` is both a semantic constraint and its skeleton's extra.
 """
 
 from dataclasses import replace
@@ -200,3 +202,15 @@ def test_one_query_under_primary_and_secondary_index_keeps_each_catalogs_skeleto
     assert "IX_fwd" in primary_names and "IX_fwd" in secondary_names
     assert "IX_nonempty" not in primary_names
     assert "IX_nonempty" in secondary_names
+
+
+@pytest.mark.parametrize(
+    "relations, secondary_indexes", [(2, 1), (2, 2), (3, 1), (3, 2), (3, 3)]
+)
+def test_no_oqf_stage_task_repeats_a_dependency(monkeypatch, relations, secondary_indexes):
+    workload = build_ec1(relations, secondary_indexes)
+    tasks = _stage_constraint_names(monkeypatch, workload.catalog, workload.query)
+    names = [name for task in tasks for name in task]
+    assert tasks and any(name.endswith("_nonempty") for name in names)
+    for task in tasks:
+        assert len(task) == len(set(task)), task

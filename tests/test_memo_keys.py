@@ -4,8 +4,14 @@
   instance.  Every query a warm registry holds after EC1–EC3 runs (chase
   fixpoints and the subqueries in their restriction tables) carries keys
   equal to those of a freshly built equal query.
-* Pickling drops the memoised keys, the OQF decompositions and a
-  dependency's cached hash; the receiver rebuilds equal ones.
+* Pickling drops the memoised keys, the OQF decompositions, a query's
+  cached hash and containment schedule, and a dependency's cached hash and
+  search plan; the receiver rebuilds equal ones.
+* A dependency's search schedules and trigger heads, and a containment
+  source's schedule, equal a fresh build.
+* Restrictions read a saturated closure's layout, built once per closure
+  state: every restriction a universal plan's walk builds equals one built
+  against a fresh closure, also after an ``extra_output`` interns a term.
 * Repeating an FB, OQF or OCS request on a warm registry and memo, with the
   same query object, compiles no catalog declaration and normalises no
   condition (every key is re-read), except that OQF signs the plans it
@@ -22,7 +28,8 @@ import threading
 import pytest
 
 import repro.chase.optimizer as optimizer_module
-from repro.chase.chase import chase
+from repro.chase.backchase import FullBackchase
+from repro.chase.chase import _dependency_triggers, _search_plan, chase
 from repro.chase.implication import ChaseCacheRegistry
 from repro.chase.optimizer import CBOptimizer
 from repro.chase.stratify import (
@@ -31,9 +38,16 @@ from repro.chase.stratify import (
     decompose_query,
     stratify_constraints,
 )
+from repro.cq.containment import has_containment_mapping, keep_search_schedule
+from repro.cq.homomorphism import schedule_conditions
 from repro.cq.memo import ContainmentMemo
-from repro.cq.query import PCQuery
-from repro.lang.ast import Eq
+from repro.cq.query import (
+    PCQuery,
+    _build_restriction,
+    _composite_rank,
+    _shared_saturated_congruence,
+)
+from repro.lang.ast import Attr, Eq, Var, path_variables
 from repro.schema.compile import compile_logical_constraints, compile_structure
 from repro.workloads import build_ec1, build_ec2, build_ec3
 
@@ -90,9 +104,11 @@ def test_memoised_keys_of_every_held_query_equal_a_fresh_build():
 def test_pickling_drops_the_memoised_keys():
     workload = build_ec2(1, 3, 1)
     query = workload.query
-    signature, variables = query.signature(), query.variable_set
+    signature, variables, digest = query.signature(), query.variable_set, hash(query)
     decompose_query(query, workload.catalog.skeletons())
-    memoised = {"_signature", "_variable_set", "_decompositions"}
+    keep_search_schedule(query)
+    assert has_containment_mapping(query, query)
+    memoised = {"_hash", "_signature", "_variable_set", "_search_schedule", "_decompositions"}
     assert memoised <= set(query.__dict__)
     state = query.__getstate__()
     assert not memoised & set(state)
@@ -101,17 +117,136 @@ def test_pickling_drops_the_memoised_keys():
     assert clone == query
     assert clone.signature() == signature
     assert clone.variable_set == variables
+    assert hash(clone) == digest
 
-    # A dependency's hash is kept on the instance; hash() of a str is salted
-    # per process, so the cached value never travels.
-    dependency = workload.catalog.constraints()[0]
-    digest = hash(dependency)
-    assert "_hash" in dependency.__dict__
-    assert "_hash" not in dependency.__getstate__()
-    copy = pickle.loads(pickle.dumps(dependency))
-    assert "_hash" not in copy.__dict__
-    assert copy == dependency
-    assert hash(copy) == digest
+    # A dependency's hash and search plan are kept on the instance; hash()
+    # of a str is salted per process, so the cached values never travel.
+    dependencies = workload.catalog.constraints()
+    chase(workload.query, dependencies)
+    for dependency in dependencies:
+        digest = hash(dependency)
+        assert {"_hash", "_search_plan"} <= set(dependency.__dict__)
+        assert not {"_hash", "_search_plan"} & set(dependency.__getstate__())
+        copy = pickle.loads(pickle.dumps(dependency))
+        assert not {"_hash", "_search_plan"} & set(copy.__dict__)
+        assert copy == dependency
+        assert hash(copy) == digest
+        assert _search_plan(copy) == _search_plan(dependency)
+
+
+@pytest.mark.parametrize("workload", _workloads(), ids=lambda workload: workload.name)
+def test_memoised_search_state_equals_a_fresh_build(workload):
+    registry, memo = ChaseCacheRegistry(), ContainmentMemo()
+    optimizer = CBOptimizer(workload.catalog, cache_registry=registry, containment_memo=memo)
+    for strategy in ("fb", "oqf", "ocs"):
+        optimizer.optimize(workload.query, strategy=strategy)
+    planned = [dep for dep in workload.catalog.constraints() if "_search_plan" in dep.__dict__]
+    assert planned
+    for dependency in planned:
+        plan = dependency.__dict__["_search_plan"]
+        assert plan.universal == schedule_conditions(dependency.universal, dependency.premise)
+        # The extension's pre-assigned variables are the universal ones.
+        assert plan.existential == schedule_conditions(
+            dependency.existential, dependency.conclusion, dependency.universal_variables
+        )
+        assert plan.triggers == _dependency_triggers(dependency)
+    sources = [query for query in _held_queries(registry) if "_search_schedule" in query.__dict__]
+    sources.append(workload.query)
+    for source in sources:
+        expected = schedule_conditions(source.bindings, source.conditions)
+        assert source.__dict__["_search_schedule"] == expected
+
+
+def _fresh_restriction(query, keep, extra_output):
+    """``restrict_to``'s body against a fresh saturated closure, with no layout yet.
+
+    The closure is built outside the process-wide cache, so it carries no
+    layout and none of the terms earlier restrictions interned.
+    """
+    closure = _shared_saturated_congruence.__wrapped__(query)
+    assert closure.restriction_layout is None
+    return _build_restriction(_OwnClosure(query, closure), keep, extra_output), closure
+
+
+class _OwnClosure:
+    """A query stand-in whose saturated closure is one fixed closure."""
+
+    def __init__(self, query, closure):
+        self.bindings, self.output, self._closure = query.bindings, query.output, closure
+
+    def saturated_congruence(self):
+        return self._closure
+
+
+def _surviving_chains(closure, keep):
+    """The candidate equalities built class by class: filter the members, then sort the survivors."""
+    chains = []
+    for cls in closure.classes():
+        survivors = [term for term in cls if path_variables(term) <= keep]
+        if len(survivors) > 1:
+            survivors.sort(key=lambda term: (_composite_rank(term), len(str(term)), str(term)))
+            chains.extend(Eq(survivors[0], other).normalized() for other in survivors[1:])
+    return chains
+
+
+def _layout_chains(layout, keep):
+    """The same candidate equalities read off a layout: sorted once, then filtered."""
+    chains = []
+    for members in layout.classes:
+        survivors = [term for term in members[::2] if path_variables(term) <= keep]
+        if len(survivors) > 1:
+            chains.extend(Eq(survivors[0], other).normalized() for other in survivors[1:])
+    return chains
+
+
+def test_restrictions_through_the_layout_equal_a_fresh_build():
+    workload = build_ec2(1, 3, 1)
+    constraints = workload.catalog.constraints()
+    universal = _fresh(chase(workload.query, constraints).query)
+    FullBackchase(workload.query, constraints).run(universal)
+    # Every node the walk restricted, with the result it got.
+    table = dict(universal.__dict__["_restrictions"])
+    assert len(table) > 10 and any(result is not None for result in table.values())
+    closure = universal.saturated_congruence()
+    layout = closure.restriction_layout
+    assert layout.key == (len(closure), closure.generation)
+    for (keep, extra_output), result in table.items():
+        fresh, fresh_closure = _fresh_restriction(universal, keep, extra_output)
+        assert result == fresh
+        assert _layout_chains(layout, keep) == _surviving_chains(fresh_closure, keep)
+    # The closure did not change, so every restriction read one layout.
+    assert closure.restriction_layout is layout
+
+
+def test_a_restriction_that_interns_a_term_rebuilds_the_layout():
+    query = _fresh(
+        PCQuery.parse(
+            "select struct(A: r.A) from R r, R s, S t where r = s and t.B = s.A"
+        ).validate()
+    )
+    closure = query.saturated_congruence()
+    s_path, r_path = Attr(Attr(Var("s"), "A"), "C"), Attr(Attr(Var("r"), "A"), "C")
+    requests = [
+        ({"r", "s", "t"}, ()),
+        # s.A.C is new to the closure: rewriting it over {r, t} interns it.
+        ({"r", "t"}, (("L", s_path),)),
+        # r.A.C is new too, and congruent with s.A.C since r.A = s.A: a union.
+        ({"t"}, (("L", r_path),)),
+        ({"r", "s"}, ()),
+    ]
+    results, keys = [], []
+    for keep, extra_output in requests:
+        results.append(query.restrict_to(keep, extra_output=extra_output))
+        keys.append(closure.restriction_layout.key)
+    assert results[1].output_path("L") == r_path
+    assert keys[1][0] == keys[0][0] and keys[2][0] == keys[1][0] + 1
+    assert keys[3] == (len(closure), closure.generation) != keys[2]
+    assert closure.generation > keys[0][1]
+    # The rebuilt layout lists both interned terms, now one class.
+    assert any({s_path, r_path} <= set(members[::2]) for members in closure.restriction_layout.classes)
+    for (keep, extra_output), result in zip(requests, results):
+        fresh, _ = _fresh_restriction(query, frozenset(keep), extra_output)
+        assert result == fresh
 
 
 def _count_calls(monkeypatch, function, calls):
