@@ -16,7 +16,9 @@
 # store, kills one backend with SIGKILL, asserts the retrying client still
 # passes --check via failover, then checks that a fresh backend serves the
 # workload warm from the store; `make perf-smoke` runs perfbench's service workloads, a traced
-# run and a cold pass over every pair through the benchmark's own checks;
+# warm run, a cold pass over every pair and a traced cold run (the only run
+# whose span wrappers see the goal-directed chases of cacheless requests)
+# through the benchmark's own checks;
 # `make tier1` is the full suite CI runs.
 
 PYTHON ?= python
@@ -230,7 +232,7 @@ fleet-smoke:
 # even when a check fails, so each run's last output line must read
 # "correct": true and "failed": 0.
 perf-smoke:
-	@for run in "warm-service --trace 0" "churn-socket --trace 0" "warm-optimize --trace 1" "cold-optimize --trace 0"; do \
+	@for run in "warm-service --trace 0" "churn-socket --trace 0" "warm-optimize --trace 1" "cold-optimize --trace 0" "cold-optimize --trace 1"; do \
 		echo "perf-smoke: $$run"; \
 		out=$$($(PYTHON) perfbench/run.py --workload $$run --seed 1 --seconds 5) \
 			|| { echo "perf-smoke: $$run exited non-zero"; exit 1; }; \

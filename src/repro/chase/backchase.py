@@ -16,8 +16,8 @@ binding larger that failed this containment, or that was pruned itself, is
 therefore marked not equivalent without a restriction, a chase or a
 containment search, and a level-wise walk knows every such failure at level
 *k* before it checks level *k - 1*.  Nothing else prunes: a node that
-:meth:`~repro.cq.query.PCQuery.restrict_to` rejects, or whose subquery does
-not map into the universal plan, has not failed a monotone test.
+:meth:`~repro.cq.query.PCQuery.restrict_to` rejects has not failed a
+monotone test.
 
 Two engines run the walk:
 
@@ -25,9 +25,8 @@ Two engines run the walk:
   (the optimizer's FB path and every OQF fragment and OCS stage).
 * :class:`ParallelBackchase` hands each wave to a pluggable executor
   (``serial`` / ``threads`` / ``processes``) or to the optimizer service's
-  shard pool.  The checks of a wave are independent given a shared
-  :class:`~repro.chase.implication.ChaseCache`; each chunk comes back as a
-  mergeable :class:`WaveOutcome` (verdicts,
+  shard pool.  The checks of a wave are independent of one another; each
+  chunk comes back as a mergeable :class:`WaveOutcome` (verdicts,
   :class:`~repro.cq.homomorphism.SearchStats`,
   :class:`~repro.chase.chase.ChaseCounters` and, from worker processes, the
   newly chased cache entries).
@@ -35,10 +34,14 @@ Two engines run the walk:
 Pruning is decided in the walk, between waves, so both engines and every
 executor make the same checks and produce identical plan sets.
 
-Equivalence of a candidate subquery with the original query is checked with
-the chase-based containment test of :mod:`repro.chase.implication`.  The
-chase results are memoised across candidates (:class:`ChaseCache`), and each
-binding subset is inspected at most once.
+A candidate subquery ``S`` is equivalent to the original query ``Q`` when
+``Q`` maps into the chase of ``S`` (:func:`_check_equivalence`; the other
+direction always holds).  Each binding subset is inspected at most once,
+so a run without a shared :class:`~repro.chase.implication.ChaseCache` has
+nothing to reuse: it chases each candidate only until ``Q`` maps in and
+keeps nothing.  A run with one (the optimizer service's sessions) chases
+each candidate to its fixpoint through the cache, so later requests reuse
+it.
 
 A walk that runs out of budget returns the plans of the levels it completed
 (with ``timed_out=True``): those nearest the universal plan, not the deep
@@ -53,7 +56,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from repro.errors import ChaseTimeout
-from repro.chase.chase import ChaseCounters, deadline_passed
+from repro.chase.chase import ChaseCounters, chase, deadline_passed
 from repro.chase.implication import ChaseCache, _has_containment_mapping
 from repro.chase.plans import Plan, dedupe_isomorphic_plans
 from repro.cq.containment import keep_search_schedule
@@ -84,6 +87,8 @@ class BackchaseResult:
         the lattice levels it completed, and may be incomplete.
     cache_hits / cache_misses:
         :class:`~repro.chase.implication.ChaseCache` accounting for the run.
+        A run without a cache chases once per check and counts each chase
+        as a miss.
     closure_queries / candidates_tried:
         Search effort summed over the containment-mapping searches of this
         run plus every cache-miss chase performed for it.
@@ -124,46 +129,55 @@ class BackchaseResult:
 # ---------------------------------------------------------------------- #
 # the equivalence check
 # ---------------------------------------------------------------------- #
-#: Verdicts of :func:`_check_equivalence`.  Only ``_NOT_CONTAINED`` is
-#: monotone (it holds for every subset of the subquery's bindings), so it is
-#: the only one the walk prunes under.
-_EQUIVALENT = "equivalent"
-_NOT_CONTAINED = "not-contained"
-_NOT_CONTAINING = "not-containing"
+def _check_equivalence(
+    original, subquery, dependencies, cache, stats, counters, deadline=None, memo=None
+):
+    """Decide whether ``subquery`` ``S`` is equivalent to ``original`` ``Q``.
 
+    ``S ⊑ Q`` under the constraints holds iff ``Q`` maps into the chase of
+    ``S`` (Appendix A).  Without a shared ``cache`` the chase is
+    goal-directed (:func:`~repro.chase.chase.chase` with ``goal=Q``): it
+    stops at the first state ``Q`` maps into, reaches the fixpoint only
+    when no state has a mapping, stores nothing, and adds its counters to
+    ``counters``.  With one, the fixpoint of ``S`` comes from the cache (or
+    is chased into it) and ``Q`` is mapped into it, through ``memo`` when
+    given: a warm request whose pairs an earlier request decided skips the
+    search, and memo hits do not add to ``stats``.
 
-def _check_equivalence(original, universal_plan, subquery, cache, stats, deadline=None, memo=None):
-    """Decide whether ``subquery`` is equivalent to ``original``.
+    The other direction, ``Q ⊑ S``, always holds, so it is not checked.
+    ``Q`` is equivalent to the universal plan ``U``, so a containment
+    mapping ``S → U`` proves it, and the identity is one:
 
-    Direction 1: the subquery is contained in the original under the
-    constraints (chase the subquery, map the original into it); when it is
-    not, the verdict is ``_NOT_CONTAINED``.  Direction 2: the original is
-    contained in the subquery, checked cheaply by mapping the subquery into
-    the universal plan (the chased original); when it is not, the verdict is
-    ``_NOT_CONTAINING``.  Otherwise the verdict is ``_EQUIVALENT``.
-
-    ``memo`` is an optional :class:`~repro.cq.memo.ContainmentMemo`: both
-    containment searches then go through it, so a warm service request whose
-    (subquery, fixpoint) pairs were already decided by an earlier request
-    skips the homomorphism searches entirely.  Memo hits do not add to
-    ``stats`` — the saved search effort is exactly what the serving metrics
-    measure.
+    * :meth:`~repro.cq.query.PCQuery.restrict_to` keeps only ``U``'s own
+      bindings, ranges unchanged, and only those whose ranges use kept
+      variables; otherwise it returns ``None``.
+    * Its conditions and rewritten outputs are equalities of ``U``'s
+      saturated closure: each condition pairs two members of one class, and
+      each output is a member of its path's class or is rebuilt from such
+      members, which congruence makes equal to the path.  That closure is
+      ``U``'s own conditions with extra terms interned, and adds no
+      equations.
+    * Ground congruence closure therefore makes each of those equalities
+      hold in ``U``'s plain closure.  So the identity sends every binding of
+      ``S`` onto the same binding of ``U``, every condition to an equality
+      of ``U`` and every output onto ``U``'s: it is a containment mapping
+      ``S → U``.  ``tests/test_backchase_reference.py`` asserts it.
 
     Raises :class:`~repro.errors.ChaseTimeout` when ``deadline`` expires
-    during the cache-miss chase.
+    during a chase.
     """
+    if cache is None:
+        result = chase(subquery, dependencies, deadline=deadline, goal=original)
+        counters.add(result.counters)
+        if result.timed_out:
+            raise ChaseTimeout("chase deadline expired during an equivalence check")
+        return result.goal_reached
     chased = cache.chase(subquery, deadline=deadline)
-    # The original is the source of every check's first direction.
+    # The original is the source of every check's search.
     keep_search_schedule(original)
     if memo is not None:
-        if not memo.check(original, chased, stats=stats):
-            return _NOT_CONTAINED
-        contains = memo.check(subquery, universal_plan, stats=stats)
-    else:
-        if not _has_containment_mapping(original, chased, stats=stats):
-            return _NOT_CONTAINED
-        contains = _has_containment_mapping(subquery, universal_plan, stats=stats)
-    return _EQUIVALENT if contains else _NOT_CONTAINING
+        return memo.check(original, chased, stats=stats)
+    return _has_containment_mapping(original, chased, stats=stats)
 
 
 def _ordered_plan_items(plans_by_key):
@@ -200,22 +214,27 @@ class _LevelWalk:
     a frontier node all sit on the next level.  ``run_wave(keys)`` evaluates
     one wave's variable sets (frozensets) and returns its
     :class:`WaveOutcome` chunks.
+
+    With a shared ``cache`` the run's cache accounting is read off the cache
+    (concurrent chunks share it); without one it is summed from the chunks.
     """
 
     def __init__(self, universal_plan, deadline, cache):
         self.universal_plan = universal_plan
         self.deadline = deadline
         self.cache = cache
-        self._cache_before = (
-            cache.hits,
-            cache.misses,
-            cache.counters.closure_queries,
-            cache.counters.candidates_tried,
-        )
+        if cache is not None:
+            self._cache_before = (
+                cache.hits,
+                cache.misses,
+                cache.counters.closure_queries,
+                cache.counters.candidates_tried,
+            )
         self.plans = {}
         self.explored = 0
         self.equivalence_checks = 0
         self.stats = SearchStats()
+        self.chase_counters = ChaseCounters()
         self.timed_out = False
         self.waves = 0
 
@@ -266,6 +285,8 @@ class _LevelWalk:
                     self.explored += outcome.explored
                     self.equivalence_checks += outcome.equivalence_checks
                     self.stats.add(outcome.stats)
+                    if self.cache is None:
+                        self.chase_counters.add(outcome.counters)
                     self.timed_out = self.timed_out or outcome.timed_out
             expanded = set()
             for (node, variables, subquery), kids in zip(frontier, children):
@@ -293,8 +314,17 @@ class _LevelWalk:
     def result(self, strategy_label, start, executor, workers, chunk_policy):
         """The run's :class:`BackchaseResult`, timed from ``start``."""
         elapsed = time.perf_counter() - start
-        hits, misses, chase_queries, chase_candidates = self._cache_before
-        counters = self.cache.counters
+        if self.cache is None:
+            # Every check chased once, and each chase is a miss.
+            hits, misses = 0, self.equivalence_checks
+            chase_queries = self.chase_counters.closure_queries
+            chase_candidates = self.chase_counters.candidates_tried
+        else:
+            hits_before, misses_before, queries_before, candidates_before = self._cache_before
+            hits = self.cache.hits - hits_before
+            misses = self.cache.misses - misses_before
+            chase_queries = self.cache.counters.closure_queries - queries_before
+            chase_candidates = self.cache.counters.candidates_tried - candidates_before
         return BackchaseResult(
             plans=dedupe_isomorphic_plans(
                 [
@@ -306,14 +336,10 @@ class _LevelWalk:
             equivalence_checks=self.equivalence_checks,
             elapsed=elapsed,
             timed_out=self.timed_out,
-            cache_hits=self.cache.hits - hits,
-            cache_misses=self.cache.misses - misses,
-            closure_queries=(
-                self.stats.closure_queries + counters.closure_queries - chase_queries
-            ),
-            candidates_tried=(
-                self.stats.candidates_tried + counters.candidates_tried - chase_candidates
-            ),
+            cache_hits=hits,
+            cache_misses=misses,
+            closure_queries=self.stats.closure_queries + chase_queries,
+            candidates_tried=self.stats.candidates_tried + chase_candidates,
             executor=executor,
             workers=workers,
             waves=self.waves,
@@ -325,8 +351,7 @@ class FullBackchase:
     """Top-down backchase of a universal plan, evaluated inline.
 
     Runs the level-wise walk (see the module docstring) on the caller's
-    thread: each wave's checks run one after another against the shared
-    chase cache.
+    thread: each wave's checks run one after another.
 
     Parameters
     ----------
@@ -343,15 +368,18 @@ class FullBackchase:
         Label recorded on the produced :class:`Plan` objects.
     chase_cache:
         Optional shared (possibly warm) :class:`ChaseCache` built for the
-        *same* dependency set; the engine creates a private one when omitted.
-        The optimizer service passes a per-constraint-set cache here so chase
-        fixpoints survive across requests.
+        *same* dependency set.  The optimizer service passes a
+        per-constraint-set cache here so chase fixpoints survive across
+        requests.  Without one, each check chases its candidate only until
+        the original maps in, and keeps nothing (see
+        :func:`_check_equivalence`).
     containment_memo:
-        Optional shared :class:`~repro.cq.memo.ContainmentMemo`; when given,
-        every containment search of the equivalence checks is memoised by
-        canonical query-pair signature, so repeated requests skip the
-        homomorphism searches as well as the chases.  Verdicts are
-        constraint-independent, so one memo is safely shared across sessions.
+        Optional shared :class:`~repro.cq.memo.ContainmentMemo`, read with a
+        ``chase_cache``; when given, every containment search of the
+        equivalence checks is memoised by canonical query-pair signature, so
+        repeated requests skip the homomorphism searches as well as the
+        chases.  Verdicts are constraint-independent, so one memo is safely
+        shared across sessions.
     """
 
     def __init__(
@@ -367,7 +395,7 @@ class FullBackchase:
         self.dependencies = list(dependencies)
         self.timeout = timeout
         self.strategy_label = strategy_label
-        self.chase_cache = chase_cache if chase_cache is not None else ChaseCache(self.dependencies)
+        self.chase_cache = chase_cache
         self.containment_memo = containment_memo
 
     def run(self, universal_plan):
@@ -409,8 +437,9 @@ class WaveOutcome:
     ``not_contained`` lists the evaluated subsets whose subquery is not
     contained in the original (the original does not map into its chase):
     the walk prunes every subset below them.  The remaining fields carry the
-    chunk's search effort and (for detached executors) the worker cache's
-    newly chased entries so the coordinator can merge them into the shared
+    chunk's search effort (``counters``: its chases when the run has no
+    cache) and (for detached executors) the worker cache's newly chased
+    entries so the coordinator can merge them into the shared
     :class:`ChaseCache`.
     """
 
@@ -447,17 +476,19 @@ def _evaluate_chunk(context, keys, deadline, cache, export_cache=False, memo=Non
     """Evaluate the equivalence checks for ``keys`` against ``context``.
 
     Runs in the coordinating process (inline, serial / thread executors,
-    sharing the engine's cache) or in a worker process (with a worker-local
-    cache and ``export_cache=True``).  Respects ``deadline``; a chunk that
-    runs out of budget returns the verdicts computed so far with
-    ``timed_out=True``.  ``memo`` is the optional shared containment memo
-    (see :func:`_check_equivalence`); worker processes keep their own.
+    sharing the engine's cache or running without one) or in a worker
+    process (with a worker-local cache and ``export_cache=True``, or without
+    a cache).  Respects ``deadline``; a chunk that runs out of budget
+    returns the verdicts computed so far with ``timed_out=True``.  ``memo``
+    is the optional shared containment memo (see :func:`_check_equivalence`);
+    worker processes keep their own.
 
-    Cache accounting (hit/miss/counter deltas, new entries) is only
-    meaningful — and only computed — for detached worker caches: against a
-    cache shared by concurrent chunks the before/after deltas would include
-    the other chunks' activity.  Shared-cache engines read the accounting
-    off the cache itself instead.
+    Without a cache, the chunk's ``counters`` are those of the chases it
+    ran.  With one, cache accounting (hit/miss/counter deltas, new entries)
+    is only meaningful — and only computed — for detached worker caches:
+    against a cache shared by concurrent chunks the before/after deltas
+    would include the other chunks' activity.  Shared-cache engines read the
+    accounting off the cache itself instead.
     """
     outcome = WaveOutcome()
     if export_cache:
@@ -475,23 +506,23 @@ def _evaluate_chunk(context, keys, deadline, cache, export_cache=False, memo=Non
             continue
         outcome.equivalence_checks += 1
         try:
-            verdict = _check_equivalence(
+            equivalent = _check_equivalence(
                 context.original,
-                context.universal_plan,
                 subquery,
+                context.dependencies,
                 cache,
                 outcome.stats,
+                outcome.counters,
                 deadline,
                 memo=memo,
             )
         except ChaseTimeout:
             outcome.timed_out = True
             break
-        if verdict == _EQUIVALENT:
+        if equivalent:
             outcome.verdicts[key] = subquery
-            continue
-        outcome.verdicts[key] = None
-        if verdict == _NOT_CONTAINED:
+        else:
+            outcome.verdicts[key] = None
             outcome.not_contained.append(key)
     if export_cache:
         outcome.cache_hits = cache.hits - hits_before
@@ -605,10 +636,14 @@ class ThreadExecutor:
 _PROCESS_STATE = None
 
 
-def _init_process_worker(context):
+def _init_process_worker(context, keep_fixpoints):
     global _PROCESS_STATE
     from repro.cq.memo import ContainmentMemo
 
+    if not keep_fixpoints:
+        # The coordinator runs without a cache: so does the worker.
+        _PROCESS_STATE = (context, None, None)
+        return
     _PROCESS_STATE = (
         context,
         ChaseCache(context.dependencies, **context.chase_kwargs),
@@ -624,18 +659,22 @@ def _process_chunk(payload):
         # coordinator.  Merged before the chunk's export marker is taken, so
         # they are not shipped back again.
         cache.merge_exported(seed_entries)
-    return _evaluate_chunk(context, keys, deadline, cache, export_cache=True, memo=memo)
+    return _evaluate_chunk(
+        context, keys, deadline, cache, export_cache=cache is not None, memo=memo
+    )
 
 
 class ProcessExecutor:
     """Evaluates wave chunks on a process pool with worker-local caches.
 
     Each worker process is initialised once per run with the (picklable)
-    :class:`WaveContext` and keeps its own :class:`ChaseCache` warm across
-    waves; newly chased entries are exported back with every chunk outcome,
-    merged into the coordinator's cache, and relayed to the other workers
-    with the next wave's payloads (so a subquery is chased at most once per
-    wave across the pool, not once per worker).
+    :class:`WaveContext`.  When the run has a shared cache, each worker
+    keeps its own :class:`ChaseCache` warm across waves; newly chased
+    entries are exported back with every chunk outcome, merged into the
+    coordinator's cache, and relayed to the other workers with the next
+    wave's payloads (so a subquery is chased at most once per wave across
+    the pool, not once per worker).  Without one, the workers run the
+    goal-directed checks and keep nothing.
     """
 
     kind = "processes"
@@ -655,8 +694,13 @@ class ProcessExecutor:
         # does not load ``multiprocessing`` into every process.
         from concurrent.futures import ProcessPoolExecutor
 
+        # Only whether the run keeps fixpoints crosses to the workers: each
+        # builds its own cache when it does.
+        keep_fixpoints = cache is not None
         self._pool = ProcessPoolExecutor(
-            max_workers=self.workers, initializer=_init_process_worker, initargs=(context,)
+            max_workers=self.workers,
+            initializer=_init_process_worker,
+            initargs=(context, keep_fixpoints),
         )
 
     def run_wave(self, keys, deadline, seed_entries=None):
@@ -730,7 +774,8 @@ class ParallelBackchase:
         long-lived worker pool here.
     chase_cache:
         Optional shared (possibly warm) :class:`ChaseCache` built for the
-        same dependency set, as for :class:`FullBackchase`.
+        same dependency set, as for :class:`FullBackchase`; every executor
+        runs the goal-directed checks without one.
     containment_memo:
         Optional shared :class:`~repro.cq.memo.ContainmentMemo`, as for
         :class:`FullBackchase`; handed to the pool alongside the cache so
@@ -758,7 +803,7 @@ class ParallelBackchase:
         self.executor = executor
         self.workers = workers
         self.pool = pool
-        self.chase_cache = chase_cache if chase_cache is not None else ChaseCache(self.dependencies)
+        self.chase_cache = chase_cache
         self.containment_memo = containment_memo
 
     def run(self, universal_plan):
@@ -774,14 +819,14 @@ class ParallelBackchase:
             cache,
             memo=self.containment_memo,
         )
-        # Cache entries already relayed to the workers (detached pools only):
-        # each wave ships the delta merged since the previous wave, so every
-        # worker benefits from every other worker's chases.
-        relayed = cache.snapshot()
+        # Cache entries already relayed to the workers (detached pools with a
+        # cache only): each wave ships the delta merged since the previous
+        # wave, so every worker benefits from every other worker's chases.
+        relayed = cache.snapshot() if cache is not None else None
 
         def run_wave(keys):
             nonlocal relayed
-            if not pool.detached:
+            if cache is None or not pool.detached:
                 return pool.run_wave(keys, deadline)
             outcomes = pool.run_wave(keys, deadline, cache.export_since(relayed))
             for outcome in outcomes:

@@ -32,6 +32,15 @@ fire during verification is counted in ``ChaseCounters.trigger_misses`` —
 so the fixpoint is always exactly the one the restart engine computes.  Pass
 ``incremental=False`` (optionally with ``use_index=False``) to run the
 original restart-per-step engine, kept for the ablation benchmark.
+
+The incremental engine can also chase *towards a goal*: given a query ``Q``
+(``goal``), it asks before its first step and after each applied step
+whether ``Q`` maps into the current state, with the chase's own closure and
+candidate index, and stops at the first state that has such a mapping.  The
+backchase decides ``S ⊑ Q`` this way when no shared chase cache would keep
+the fixpoint: every state is contained in the fixpoint, so a mapping into a
+state is one into the fixpoint, and the chase reaches the fixpoint only when
+no state has one.
 """
 
 from __future__ import annotations
@@ -40,6 +49,7 @@ import time
 from dataclasses import dataclass, field
 
 from repro.errors import ChaseError
+from repro.cq.containment import keep_search_schedule, outputs_match
 from repro.cq.homomorphism import (
     BindingIndex,
     SearchStats,
@@ -118,6 +128,9 @@ class ChaseResult:
         ``True`` when an optional deadline expired before the fixpoint was
         reached; ``query`` is then the partially chased query (well-formed,
         but not a universal plan).
+    goal_reached:
+        ``True`` when a goal-directed chase (``chase(..., goal=Q)``) found a
+        state that ``Q`` maps into; ``query`` is then that state.
     """
 
     query: PCQuery
@@ -126,6 +139,7 @@ class ChaseResult:
     elapsed: float = 0.0
     counters: ChaseCounters = field(default_factory=ChaseCounters)
     timed_out: bool = False
+    goal_reached: bool = False
 
     @property
     def applied(self):
@@ -288,7 +302,16 @@ def deadline_passed(deadline):
     return deadline is not None and time.perf_counter() > deadline
 
 
-def chase(query, dependencies, max_rounds=100, max_size=500, incremental=True, use_index=True, deadline=None):
+def chase(
+    query,
+    dependencies,
+    max_rounds=100,
+    max_size=500,
+    incremental=True,
+    use_index=True,
+    deadline=None,
+    goal=None,
+):
     """Chase ``query`` with ``dependencies`` to a fixpoint.
 
     Parameters
@@ -317,6 +340,16 @@ def chase(query, dependencies, max_rounds=100, max_size=500, incremental=True, u
         fixpoint loop stops and the partially chased query is returned with
         ``timed_out=True`` (duplicate bindings are still collapsed so the
         result is well-formed).
+    goal:
+        Optional query ``Q`` to map into the chased query with a containment
+        mapping.  The chase then stops at the first state ``Q`` maps into
+        (checked before the first step and after each applied step), with
+        ``goal_reached=True``; otherwise it runs to the fixpoint and
+        ``goal_reached`` is ``False``.  Either way ``query`` is the last
+        state with its duplicate bindings kept: nothing caches a
+        goal-directed result, and collapsing duplicates neither adds nor
+        removes a mapping of ``Q``.  Only the incremental engine takes a
+        goal.
 
     Returns
     -------
@@ -331,10 +364,13 @@ def chase(query, dependencies, max_rounds=100, max_size=500, incremental=True, u
     dependencies = list(dependencies)
     counters = ChaseCounters()
     stats = SearchStats()
+    reached = False
     if incremental:
-        final, steps, rounds, timed_out = _chase_incremental(
-            query, dependencies, max_rounds, max_size, stats, counters, use_index, deadline
+        final, steps, rounds, timed_out, reached = _chase_incremental(
+            query, dependencies, max_rounds, max_size, stats, counters, use_index, deadline, goal
         )
+    elif goal is not None:
+        raise ValueError("only the incremental chase takes a goal")
     else:
         final, steps, rounds, timed_out = _chase_restart(
             query, dependencies, max_rounds, max_size, stats, counters, use_index, deadline
@@ -342,7 +378,9 @@ def chase(query, dependencies, max_rounds=100, max_size=500, incremental=True, u
     counters.closure_queries = stats.closure_queries
     counters.candidates_tried = stats.candidates_tried
     counters.conditions_checked = stats.conditions_checked
-    return ChaseResult(final, steps, rounds, time.perf_counter() - start, counters, timed_out)
+    return ChaseResult(
+        final, steps, rounds, time.perf_counter() - start, counters, timed_out, reached
+    )
 
 
 def _chase_restart(query, dependencies, max_rounds, max_size, stats, counters, use_index, deadline=None):
@@ -383,11 +421,20 @@ def _chase_restart(query, dependencies, max_rounds, max_size, stats, counters, u
     return current, steps, rounds, timed_out
 
 
-def _chase_incremental(query, dependencies, max_rounds, max_size, stats, counters, use_index, deadline=None):
-    """Semi-naive fixpoint: evolving closure + trigger-indexed dirty set."""
+def _chase_incremental(
+    query, dependencies, max_rounds, max_size, stats, counters, use_index, deadline=None, goal=None
+):
+    """Semi-naive fixpoint: evolving closure + trigger-indexed dirty set.
+
+    With a ``goal``, the loop stops at the first state the goal maps into
+    (see :func:`chase`) and returns that state uncollapsed.
+    """
     current = query
     closure = current.private_congruence()
     index = BindingIndex(list(current.bindings))
+    if goal is not None and _goal_maps_in(goal, current, closure, index, stats, use_index):
+        # The goal maps in before any step: no trigger state is needed.
+        return current, [], 0, False, True
 
     # Head map: variable -> frozenset of collection names its range reaches
     # (None = unknown head, treated as matching every trigger).
@@ -407,14 +454,15 @@ def _chase_incremental(query, dependencies, max_rounds, max_size, stats, counter
     steps = []
     rounds = 0
     timed_out = False
+    reached = False
 
-    while not timed_out:
+    while not (timed_out or reached):
         rounds += 1
         if rounds > max_rounds:
             raise ChaseError(f"chase did not terminate within {max_rounds} rounds")
         changed = False
         for position, dependency in enumerate(dependencies):
-            if timed_out:
+            if timed_out or reached:
                 break
             if position not in dirty:
                 counters.deps_skipped += 1
@@ -461,6 +509,11 @@ def _chase_incremental(query, dependencies, max_rounds, max_size, stats, counter
                     if wildcard or dep_wildcard or (keys & touched):
                         dirty.add(other)
                         verify_baseline.discard(other)
+                if goal is not None and _goal_maps_in(
+                    goal, current, closure, index, stats, use_index
+                ):
+                    reached = True
+                    break
             if fired and artificial:
                 counters.trigger_misses += 1
             # The inner loop left this dependency satisfied; propagation from
@@ -487,8 +540,35 @@ def _chase_incremental(query, dependencies, max_rounds, max_size, stats, counter
         dirty = pending
         verify_baseline = set(pending)
 
-    current = collapse_duplicate_bindings(current, closure=closure, stats=stats)
-    return current, steps, rounds, timed_out
+    if goal is None:
+        current = collapse_duplicate_bindings(current, closure=closure, stats=stats)
+    return current, steps, rounds, timed_out, reached
+
+
+def _goal_maps_in(goal, state, closure, index, stats, use_index):
+    """Whether a containment mapping sends ``goal`` into the chase state ``state``.
+
+    The search runs on the chase's own evolving ``closure`` and candidate
+    ``index``, so no per-state closure is built or cached, and its effort
+    is counted in the chase's ``stats``.  Interning the mapping's image
+    terms only adds terms to existing classes; it never merges two classes
+    the chase already has, so every equality the chase tests keeps its
+    answer, and the steps are a prefix of those of the chase without a goal
+    (``tests/test_goal_directed_check.py`` checks both against the fixpoint).
+    """
+    for mapping in find_homomorphisms(
+        goal.bindings,
+        goal.conditions,
+        state,
+        target_closure=closure,
+        target_index=index,
+        stats=stats,
+        use_index=use_index,
+        schedule=keep_search_schedule(goal),
+    ):
+        if outputs_match(goal, state, mapping, target_closure=closure):
+            return True
+    return False
 
 
 def _path_heads(path, var_heads):

@@ -69,9 +69,12 @@ def constraints_digest(constraints):
 class ChaseCache:  # repro-lint: ignore[pickle-safety] never pickled — the session codec copies entries through export_since
     """Memoises chase results keyed by query signature.
 
-    The backchase chases many closely related subqueries; reusing results for
-    identical subqueries (reached through different removal orders) is one of
-    the implementation techniques that keeps the prototype usable.
+    Within one backchase walk no two checks chase the same subquery, so the
+    cache pays across runs: the optimizer service keeps one per constraint
+    set, and a later request that checks the same subqueries reads their
+    fixpoints instead of chasing them.  A backchase without a cache chases
+    each candidate only until the original query maps in, and keeps nothing
+    (see :func:`repro.chase.backchase._check_equivalence`).
 
     The cache is *mergeable*: the parallel backchase gives each worker
     process its own cache and folds the workers' newly chased entries

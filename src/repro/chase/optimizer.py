@@ -238,8 +238,10 @@ class CBOptimizer:
         chase phase, the backchase equivalence chases and the OQF/OCS stage
         chases all read/write the registry's caches, so fixpoints survive
         across optimize calls (the optimizer service shares one registry per
-        catalog session).  Plan sets are unaffected — cached entries are
-        exact fixpoints for exactly the constraint set they are keyed under.
+        catalog session).  Without one, each equivalence check chases its
+        candidate only until the original query maps in, and keeps nothing.
+        Plan sets are unaffected either way — cached entries are exact
+        fixpoints for exactly the constraint set they are keyed under.
     pool:
         Optional externally managed executor-protocol object used for both
         the wave-parallel backchase and the fragment/stage fan-out instead of
@@ -247,7 +249,8 @@ class CBOptimizer:
         by this class; the service passes an adapter onto its shard's
         long-lived worker pool here.
     containment_memo:
-        Optional shared :class:`~repro.cq.memo.ContainmentMemo`.  Verdicts
+        Optional shared :class:`~repro.cq.memo.ContainmentMemo`, read by the
+        equivalence checks that run on ``cache_registry``'s caches.  Verdicts
         are independent of the constraint set (they compare two concrete
         queries), so a single memo serves every strategy, fragment and
         stage; the optimizer service shares one per catalog session, so warm

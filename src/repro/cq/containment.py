@@ -87,11 +87,12 @@ def keep_search_schedule(source):
     source that is searched many times keeps it in its instance dict
     (``_search_schedule``, read by every containment search from it), like
     ``PCQuery.signature``, and pickling drops it: the backchase keeps the
-    schedule of its original query, the source of every check's first
-    direction.  Other sources, such as the subqueries of the second
-    direction, are searched about once each, and build theirs per search
-    rather than hold one for the life of the query.  Two threads racing on
-    a fresh query both build equal schedules, and either store wins.
+    schedule of its original query, the source of every check's search,
+    and a goal-directed chase (:func:`repro.chase.chase.chase`) that of its
+    goal.  Other sources, such as the queries of a one-off containment
+    test, are searched about once each, and build theirs per search rather
+    than hold one for the life of the query.  Two threads racing on a fresh
+    query both build equal schedules, and either store wins.
     """
     schedule = source.__dict__.get("_search_schedule")
     if schedule is None:

@@ -8,6 +8,12 @@ binding subset of a small universal plan on its own, with the restart chase
 search, with no chase cache, no memo and no pruning, and then keeps the
 nodes reachable from the top through equivalent one-binding removals that
 have no equivalent child.
+
+The engines check one direction of each equivalence only: the other holds
+because the identity is a containment mapping from every restriction of the
+universal plan into it (the proof is in ``_check_equivalence``'s
+docstring).  The reference asserts that for every subset ``restrict_to``
+accepts, so a ``restrict_to`` change that breaks the proof fails here.
 """
 
 import itertools
@@ -17,13 +23,26 @@ import pytest
 from repro.chase.backchase import FullBackchase, ParallelBackchase
 from repro.chase.chase import chase
 from repro.chase.plans import Plan, dedupe_isomorphic_plans
-from repro.cq.containment import has_containment_mapping
+from repro.cq.containment import has_containment_mapping, outputs_match
+from repro.cq.homomorphism import find_homomorphism
+from repro.lang.ast import Var
 from repro.workloads.ec1 import build_ec1
 from repro.workloads.ec2 import build_ec2
 from repro.workloads.ec3 import build_ec3
 
 #: Universal plans of this many bindings at most: 2**8 subsets, each chased.
 MAX_BINDINGS = 8
+
+
+def _assert_identity_maps_into(subquery, universal):
+    """The identity is a containment mapping ``subquery`` → ``universal``."""
+    identity = {var: Var(var) for var in subquery.variables}
+    mapping = find_homomorphism(
+        subquery.bindings, subquery.conditions, universal, initial=identity
+    )
+    assert mapping == identity
+    assert outputs_match(subquery, universal, identity)
+    assert has_containment_mapping(subquery, universal)
 
 
 def _reference_plans(original, constraints, universal):
@@ -37,6 +56,7 @@ def _reference_plans(original, constraints, universal):
             if subquery is None:
                 equivalent[key] = None
                 continue
+            _assert_identity_maps_into(subquery, universal)
             chased = chase(subquery, constraints, incremental=False, use_index=False).query
             holds = has_containment_mapping(original, chased) and has_containment_mapping(
                 subquery, universal

@@ -317,9 +317,11 @@ class TestBackchaseCounters:
         }
 
     def test_repeated_run_reuses_the_instance_cache(self, star_catalog, star_query):
+        from repro.chase.implication import ChaseCache
+
         constraints = star_catalog.constraints()
         universal = chase(star_query, constraints).query
-        backchaser = FullBackchase(star_query, constraints)
+        backchaser = FullBackchase(star_query, constraints, chase_cache=ChaseCache(constraints))
         first = backchaser.run(universal)
         second = backchaser.run(universal)
         # Per-run accounting: the second run hits the warm chase cache.
