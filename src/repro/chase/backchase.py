@@ -180,6 +180,16 @@ def _check_equivalence(
     return _has_containment_mapping(original, chased, stats=stats)
 
 
+def _require_cache_for_memo(chase_cache, containment_memo):
+    """Reject a containment memo given without the chase cache that reads it.
+
+    Only the checks that run on a cache search with the memo; the
+    goal-directed checks of a cacheless run never would.
+    """
+    if containment_memo is not None and chase_cache is None:
+        raise ValueError("a containment memo is read only with a chase cache; pass both")
+
+
 def _ordered_plan_items(plans_by_key):
     """Deterministic plan order: by subset size, then by sorted variable names.
 
@@ -374,12 +384,13 @@ class FullBackchase:
         the original maps in, and keeps nothing (see
         :func:`_check_equivalence`).
     containment_memo:
-        Optional shared :class:`~repro.cq.memo.ContainmentMemo`, read with a
-        ``chase_cache``; when given, every containment search of the
-        equivalence checks is memoised by canonical query-pair signature, so
-        repeated requests skip the homomorphism searches as well as the
-        chases.  Verdicts are constraint-independent, so one memo is safely
-        shared across sessions.
+        Optional shared :class:`~repro.cq.memo.ContainmentMemo`; it needs a
+        ``chase_cache`` (a :class:`ValueError` otherwise).  Every
+        containment search of the equivalence checks is then memoised by
+        canonical query-pair signature, so repeated requests skip the
+        homomorphism searches as well as the chases.  Verdicts are
+        constraint-independent, so one memo is safely shared across
+        sessions.
     """
 
     def __init__(
@@ -391,6 +402,7 @@ class FullBackchase:
         chase_cache=None,
         containment_memo=None,
     ):
+        _require_cache_for_memo(chase_cache, containment_memo)
         self.original = original
         self.dependencies = list(dependencies)
         self.timeout = timeout
@@ -796,6 +808,7 @@ class ParallelBackchase:
     ):
         if pool is None and executor not in EXECUTORS:
             raise ValueError(f"unknown executor {executor!r}; expected one of {EXECUTORS}")
+        _require_cache_for_memo(chase_cache, containment_memo)
         self.original = original
         self.dependencies = list(dependencies)
         self.timeout = timeout

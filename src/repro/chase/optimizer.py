@@ -134,9 +134,11 @@ class _StageTask:
 
     ``chase_cache`` is an optional warm
     :class:`~repro.chase.implication.ChaseCache` built for *exactly*
-    ``constraints`` (never set on the pickled process-pool path — worker
-    processes keep their own caches).  Under the optimizer service, stage
-    tasks run on the shard's worker pool through
+    ``constraints``, and ``containment_memo`` the memo read with it.
+    Neither is set on the pickled process-pool path: a task there runs
+    without a cache or memo, so its backchase makes goal-directed checks
+    and keeps nothing.  Under the optimizer service, stage tasks run on the
+    shard's worker pool through
     :meth:`~repro.service.scheduler.ScheduledPool.map`.
     """
 
@@ -250,7 +252,8 @@ class CBOptimizer:
         long-lived worker pool here.
     containment_memo:
         Optional shared :class:`~repro.cq.memo.ContainmentMemo`, read by the
-        equivalence checks that run on ``cache_registry``'s caches.  Verdicts
+        equivalence checks that run on ``cache_registry``'s caches; it needs
+        a ``cache_registry`` (a :class:`ValueError` otherwise).  Verdicts
         are independent of the constraint set (they compare two concrete
         queries), so a single memo serves every strategy, fragment and
         stage; the optimizer service shares one per catalog session, so warm
@@ -273,6 +276,8 @@ class CBOptimizer:
             raise ValueError("CBOptimizer needs a catalog or an explicit constraint list")
         if pool is None and executor not in EXECUTORS:
             raise ValueError(f"unknown executor {executor!r}; expected one of {EXECUTORS}")
+        if containment_memo is not None and cache_registry is None:
+            raise ValueError("a containment memo is read only with a cache registry; pass both")
         self.catalog = catalog
         self._constraints = list(constraints) if constraints is not None else None
         self.timeout = timeout
@@ -376,8 +381,9 @@ class CBOptimizer:
         """The warm cache for a fragment/stage task, or ``None``.
 
         Stage tasks dispatched to a detached (process) pool are pickled, so a
-        shared cache would be copied rather than shared — those tasks run
-        with their own per-worker caches instead.
+        shared cache would be copied rather than shared — those tasks get no
+        cache or memo, so their backchases make goal-directed checks and
+        keep nothing.
         """
         if self._detached_stages():
             return None

@@ -2,8 +2,10 @@
 
 import pytest
 
-from repro.chase.implication import equivalent_under
+from repro.chase.backchase import FullBackchase, ParallelBackchase
+from repro.chase.implication import ChaseCache, ChaseCacheRegistry, equivalent_under
 from repro.chase.optimizer import CBOptimizer
+from repro.cq.memo import ContainmentMemo
 from repro.cq.query import PCQuery
 from repro.schema.catalog import Catalog
 from repro.workloads.ec1 import build_ec1, expected_plan_count
@@ -167,6 +169,20 @@ class TestOptimizerAPI:
     def test_needs_catalog_or_constraints(self):
         with pytest.raises(ValueError):
             CBOptimizer()
+
+    def test_memo_without_a_cache_is_rejected(self, star_catalog, star_query):
+        # Only checks that run on a chase cache read the memo: a memo alone
+        # would be accepted and never consulted.
+        memo = ContainmentMemo()
+        with pytest.raises(ValueError):
+            CBOptimizer(star_catalog, containment_memo=memo)
+        with pytest.raises(ValueError):
+            FullBackchase(star_query, [], containment_memo=memo)
+        with pytest.raises(ValueError):
+            ParallelBackchase(star_query, [], containment_memo=memo)
+        CBOptimizer(star_catalog, cache_registry=ChaseCacheRegistry(), containment_memo=memo)
+        FullBackchase(star_query, [], chase_cache=ChaseCache([]), containment_memo=memo)
+        ParallelBackchase(star_query, [], chase_cache=ChaseCache([]), containment_memo=memo)
 
     def test_explicit_constraints_override_catalog(self, star_catalog, star_query):
         optimizer = CBOptimizer(star_catalog, constraints=[])

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.chase.backchase import FullBackchase
 from repro.chase.chase import chase
-from repro.chase.implication import equivalent_under
+from repro.chase.implication import ChaseCache, equivalent_under
 from repro.cq.congruence import CongruenceClosure
 from repro.cq.containment import find_containment_mapping, is_equivalent
 from repro.cq.homomorphism import find_homomorphisms
@@ -205,14 +205,24 @@ def test_memo_stays_sound_across_eviction_boundaries(queries):
 @settings(max_examples=25, deadline=None)
 def test_backchase_with_memo_produces_identical_plans(query):
     # The memo must be invisible to the engine: same plans, memo or not —
-    # including a warm second run answered largely from the memo.
+    # including a second run answered partly from a memo that evicts.  Only
+    # the checks that run on a chase cache read the memo, so each memo run
+    # gets a fresh cache: the second run chases again, and every verdict it
+    # reads from the memo comes from the first.
     baseline = FullBackchase(query, []).run(query)
     memo = ContainmentMemo(max_entries=8)
-    first = FullBackchase(query, [], containment_memo=memo).run(query)
-    second = FullBackchase(query, [], containment_memo=memo).run(query)
+    first = FullBackchase(
+        query, [], chase_cache=ChaseCache([]), containment_memo=memo
+    ).run(query)
+    second = FullBackchase(
+        query, [], chase_cache=ChaseCache([]), containment_memo=memo
+    ).run(query)
     reference = {plan.signature() for plan in baseline.plans}
     assert {plan.signature() for plan in first.plans} == reference
     assert {plan.signature() for plan in second.plans} == reference
+    stats = memo.stats()
+    assert stats["hits"] + stats["misses"] == first.equivalence_checks + second.equivalence_checks
+    assert stats["entries"] <= 8
 
 
 @given(random_chain_queries(), random_chain_queries())
