@@ -357,10 +357,12 @@ class PCQuery:
         """The hash of the fields, computed once per instance.
 
         The process-wide congruence caches (``_shared_congruence``,
-        ``_shared_saturated_congruence``) are keyed on the query, and the
-        generated hash would walk every path of a universal plan on each
-        lookup; ``restrict_to`` asks for the same plan's saturated closure
-        thousands of times a request.  Kept in the instance dict like
+        ``_shared_saturated_congruence``) are keyed on the query, and
+        ``restrict_to`` asks for the same plan's saturated closure
+        thousands of times a request.  Paths hash by id
+        (:mod:`repro.lang.ast`), but the generated hash would still call
+        the hash of every binding, condition and output pair of a
+        universal plan on each lookup.  Kept in the instance dict like
         :meth:`signature`: two threads racing on a fresh instance both
         compute the same value, and either store wins.
         """
@@ -442,7 +444,7 @@ def _rewrite_over(path, keep_vars, closure):
     return None
 
 
-def _restricted_conditions(closure, keep_vars):
+def _restricted_conditions(layout, keep_vars):
     """Project the closure of the where clause onto the surviving variables.
 
     For every congruence class, the surviving member terms are chained with
@@ -452,11 +454,11 @@ def _restricted_conditions(closure, keep_vars):
     so far, e.g. ``M[x] = M[y]`` next to ``x = y``) are filtered out so the
     resulting subquery stays readable and cheap to execute.
 
-    The classes come from the closure's :class:`_RestrictionLayout`, with
-    their members already in anchor order: filtering a list sorted by a
-    stable sort keeps the order that sorting the survivors would give.
+    The classes come from ``layout``, the closure's
+    :class:`_RestrictionLayout`, with their members already in anchor
+    order: filtering a list sorted by a stable sort keeps the order that
+    sorting the survivors would give.
     """
-    layout = _restriction_layout(closure)
     dropped = 0
     for bit, var in enumerate(layout.variables):
         if var not in keep_vars:
@@ -562,14 +564,18 @@ def _build_restriction(query, keep, extra_output):
             # only removes bindings; it never rewrites the ranges of the
             # remaining ones.)
             return None
-    conditions = _restricted_conditions(closure, keep)
+    # The layout is read before the outputs are rewritten, which can intern
+    # terms, and the conditions are projected only once every output has
+    # been rewritten: a candidate whose output has no surviving equal
+    # projects nothing.
+    layout = _restriction_layout(closure)
     output = []
     for label, path in tuple(query.output) + tuple(extra_output):
         rewritten = _rewrite_over(path, keep, closure)
         if rewritten is None:
             return None
         output.append((label, rewritten))
-    return PCQuery(tuple(output), bindings, conditions)
+    return PCQuery(tuple(output), bindings, _restricted_conditions(layout, keep))
 
 
 @functools.lru_cache(maxsize=4096)
