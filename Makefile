@@ -4,11 +4,12 @@
 # test suites import `repro` directly).  `make test` is the fast unit suite;
 # `make bench` regenerates every figure/table benchmark and refreshes the
 # BENCH_*.json files (only `-m bench` sessions write them, so `make tier1`
-# records nothing); `make bench-quick` runs the parallel-backchase scaling at a
-# reduced scale; `make serve-smoke` checks the in-process serving mode end
-# to end and `make serve-net-smoke` the TCP front end (server + client over
-# a real socket); `make chaos-smoke` kills a snapshotting server with
-# SIGKILL mid-run and asserts the restart serves identical plans; `make
+# records nothing; BENCH_QUICK=1 shrinks the service benchmarks); `make
+# lint-concurrency` runs the in-tree analyzer; `make serve-smoke` checks the
+# in-process serving mode end to end and `make serve-net-smoke` the TCP
+# front end (server + client over a real socket); `make chaos-smoke` kills a
+# snapshotting server with SIGKILL mid-run and asserts the restart serves
+# identical plans; `make
 # serve-obs-smoke` runs a traced server with the HTTP observability sidecar
 # and asserts /metrics, /healthz, /readyz, /stats and /traces via the
 # obs-check subcommand; `make fleet-smoke` routes the workload through the
@@ -24,7 +25,7 @@
 PYTHON ?= python
 PYTHONPATH := src
 
-.PHONY: test bench bench-quick lint lint-concurrency serve-smoke serve-net-smoke chaos-smoke serve-obs-smoke fleet-smoke perf-smoke tier1 all
+.PHONY: test bench lint lint-concurrency serve-smoke serve-net-smoke chaos-smoke serve-obs-smoke fleet-smoke perf-smoke tier1 all
 
 # Fast unit tests only (benchmarks are marked `bench` and deselected).
 test:
@@ -36,21 +37,17 @@ test:
 bench:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest -q -m bench benchmarks
 
-# Reduced-scale parallel-backchase scaling run (a few seconds end to end).
-bench-quick:
-	PYTHONPATH=$(PYTHONPATH) BENCH_QUICK=1 $(PYTHON) -m pytest -q -m bench benchmarks/test_bench_parallel_backchase.py
-
 # Curated ruff lint (rule set lives in ruff.toml; CI installs ruff).
 lint:
 	$(PYTHON) -m ruff check src tests benchmarks examples
 
 # repro-lint: the in-tree whole-program AST analyzer for concurrency and
-# invariant bugs.  Module-scope rules (lock-discipline, pickle-safety,
-# deadline-propagation, future-resolution, process-pool-boundary) plus
-# project-scope rules over the whole-program model (lock-ordering,
-# resource-lifecycle, metrics-conformance, protocol-conformance).  Emits
-# clickable path:line:col findings; exits non-zero on anything not recorded
-# in analysis-baseline.json.  No third-party deps — stdlib ast only.
+# invariant bugs.  Module-scope rules (lock-discipline, deadline-propagation,
+# future-resolution) plus project-scope rules over the whole-program model
+# (lock-ordering, resource-lifecycle, metrics-conformance,
+# protocol-conformance).  Emits clickable path:line:col findings; exits
+# non-zero on anything not recorded in analysis-baseline.json.  No
+# third-party deps — stdlib ast only.
 lint-concurrency:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro.analysis src/repro benchmarks examples \
 		--baseline analysis-baseline.json

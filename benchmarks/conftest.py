@@ -8,13 +8,12 @@ what matters.
 
 Besides the printed tables, each benchmark records a machine-readable entry
 (figure name -> wall clock + counters/rows) via :func:`record_bench`; at the
-end of a session run with ``-m bench`` (``make bench`` / ``make
-bench-quick``) everything recorded is merged into a ``BENCH_*.json`` file
-at the repository root (``BENCH_PR1.json`` by default; the parallel
-backchase scaling benchmark writes ``BENCH_PR2.json``), so the perf
-trajectory (wall clock, closure queries, cache hit rates, speedups) can be
-tracked across PRs.  Any other session — the tier-1 run collects this
-directory too — writes nothing.
+end of a session run with ``-m bench`` (``make bench``) everything
+recorded is merged into a ``BENCH_*.json`` file at the repository root
+(``BENCH_PR1.json`` by default), so the perf trajectory (wall clock,
+closure queries, cache hit rates, speedups) can be tracked across PRs.
+Any other session — the tier-1 run collects this directory too — writes
+nothing.
 
 All tests collected from this directory are marked ``bench`` so the fast
 tier-1 suite can deselect them with ``-m "not bench"`` (see the Makefile).

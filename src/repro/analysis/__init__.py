@@ -8,13 +8,12 @@ over the stdlib :mod:`ast`, in two phases: phase 1 builds a
 :class:`~repro.analysis.project.ProjectModel` (module graph, import/alias
 symbol table, approximate call graph), phase 2 runs the checkers.
 
-Module-scope rules (per file, PR 7): lock-discipline, pickle-safety,
-deadline-propagation (now alias-aware and interprocedural),
-future-resolution, process-pool-boundary.  Project-scope rules (over the
-model): lock-ordering (global lock-acquisition-order graph, cycles are
-potential deadlocks), resource-lifecycle (sockets/threads/executors/files
-must be released, ``# released-by:`` teardowns are verified),
-metrics-conformance (every gauge recorded and exported), and
+Module-scope rules (per file): lock-discipline, deadline-propagation
+(alias-aware and interprocedural) and future-resolution.  Project-scope
+rules (over the model): lock-ordering (global lock-acquisition-order graph,
+cycles are potential deadlocks), resource-lifecycle (sockets, threads,
+executors and files must be released, ``# released-by:`` teardowns are
+verified), metrics-conformance (every gauge recorded and exported), and
 protocol-conformance (record fields must come from the protocol codec).
 
 Run it as::

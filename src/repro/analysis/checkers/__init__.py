@@ -1,7 +1,7 @@
 """The repro-lint checkers (see each module's docstring for the rule).
 
-Five module-scope rules from PR 7 (unchanged API) plus four project-scope
-families over the whole-program :class:`~repro.analysis.project.ProjectModel`.
+Three module-scope rules plus four project-scope families over the
+whole-program :class:`~repro.analysis.project.ProjectModel`.
 """
 
 from repro.analysis.checkers.deadline import DeadlinePropagationChecker
@@ -9,17 +9,13 @@ from repro.analysis.checkers.futures import FutureResolutionChecker
 from repro.analysis.checkers.lock_discipline import LockDisciplineChecker
 from repro.analysis.checkers.lock_order import LockOrderChecker
 from repro.analysis.checkers.metrics_conformance import MetricsConformanceChecker
-from repro.analysis.checkers.pickle_safety import PickleSafetyChecker
-from repro.analysis.checkers.process_boundary import ProcessPoolBoundaryChecker
 from repro.analysis.checkers.protocol_conformance import ProtocolConformanceChecker
 from repro.analysis.checkers.resources import ResourceLifecycleChecker
 
 ALL_CHECKERS = (
     LockDisciplineChecker,
-    PickleSafetyChecker,
     DeadlinePropagationChecker,
     FutureResolutionChecker,
-    ProcessPoolBoundaryChecker,
     LockOrderChecker,
     ResourceLifecycleChecker,
     MetricsConformanceChecker,
@@ -33,8 +29,6 @@ __all__ = [
     "LockDisciplineChecker",
     "LockOrderChecker",
     "MetricsConformanceChecker",
-    "PickleSafetyChecker",
-    "ProcessPoolBoundaryChecker",
     "ProtocolConformanceChecker",
     "ResourceLifecycleChecker",
 ]

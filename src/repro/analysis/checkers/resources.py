@@ -41,7 +41,6 @@ FACTORIES = {
     "Thread": ("thread", ("join",)),
     "Timer": ("thread", ("join", "cancel")),
     "ThreadPoolExecutor": ("executor", ("shutdown",)),
-    "ProcessPoolExecutor": ("executor", ("shutdown",)),
     "Popen": ("process", ("wait", "kill", "terminate", "communicate")),
 }
 

@@ -22,17 +22,16 @@ monotone test.
 Two engines run the walk:
 
 * :class:`FullBackchase` evaluates each wave inline, on the caller's thread
-  (the optimizer's FB path and every OQF fragment and OCS stage).
-* :class:`ParallelBackchase` hands each wave to a pluggable executor
-  (``serial`` / ``threads`` / ``processes``) or to the optimizer service's
-  shard pool.  The checks of a wave are independent of one another; each
-  chunk comes back as a mergeable :class:`WaveOutcome` (verdicts,
-  :class:`~repro.cq.homomorphism.SearchStats`,
-  :class:`~repro.chase.chase.ChaseCounters` and, from worker processes, the
-  newly chased cache entries).
+  (every single-shot optimize call, and every OQF fragment and OCS stage).
+* :class:`ParallelBackchase` hands each wave to the optimizer service's
+  shard pool (:class:`~repro.service.scheduler.ScheduledPool`).  The checks
+  of a wave are independent of one another; each chunk comes back as a
+  mergeable :class:`WaveOutcome` (verdicts,
+  :class:`~repro.cq.homomorphism.SearchStats` and
+  :class:`~repro.chase.chase.ChaseCounters`).
 
-Pruning is decided in the walk, between waves, so both engines and every
-executor make the same checks and produce identical plan sets.
+Pruning is decided in the walk, between waves, so both engines make the
+same checks and produce identical plan sets.
 
 A candidate subquery ``S`` is equivalent to the original query ``Q`` when
 ``Q`` maps into the chase of ``S`` (:func:`_check_equivalence`; the other
@@ -50,21 +49,15 @@ plans a depth-first walk would reach first.
 
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from repro.errors import ChaseTimeout
 from repro.chase.chase import ChaseCounters, chase, deadline_passed
-from repro.chase.implication import ChaseCache, _has_containment_mapping
+from repro.chase.implication import _has_containment_mapping
 from repro.chase.plans import Plan, dedupe_isomorphic_plans
 from repro.cq.containment import keep_search_schedule
 from repro.cq.homomorphism import SearchStats
-
-#: The executor kinds understood by :func:`make_executor`.
-EXECUTORS = ("serial", "threads", "processes")
-
 
 @dataclass
 class BackchaseResult:
@@ -93,12 +86,10 @@ class BackchaseResult:
         Search effort summed over the containment-mapping searches of this
         run plus every cache-miss chase performed for it.
     executor / workers / waves:
-        How the lattice was explored: the executor kind, the worker count,
-        and the number of waves (lattice levels) checked.
-    chunk_policy:
-        How wave payloads were split across workers (``"inline"`` for
-        :class:`FullBackchase` and the serial executor, ``"size-ordered"``
-        for the pooled ones).
+        How the lattice was explored: ``"serial"`` with one worker for
+        :class:`FullBackchase`, the pool's kind and worker count for
+        :class:`ParallelBackchase`, and the number of waves (lattice levels)
+        checked.
     """
 
     plans: list = field(default_factory=list)
@@ -113,7 +104,6 @@ class BackchaseResult:
     executor: str = "serial"
     workers: int = 1
     waves: int = 0
-    chunk_policy: str = ""
 
     @property
     def plan_count(self):
@@ -321,7 +311,7 @@ class _LevelWalk:
             failed = below_failed
         return self
 
-    def result(self, strategy_label, start, executor, workers, chunk_policy):
+    def result(self, strategy_label, start, executor, workers):
         """The run's :class:`BackchaseResult`, timed from ``start``."""
         elapsed = time.perf_counter() - start
         if self.cache is None:
@@ -353,7 +343,6 @@ class _LevelWalk:
             executor=executor,
             workers=workers,
             waves=self.waves,
-            chunk_policy=chunk_policy,
         )
 
 
@@ -377,7 +366,8 @@ class FullBackchase:
     strategy_label:
         Label recorded on the produced :class:`Plan` objects.
     chase_cache:
-        Optional shared (possibly warm) :class:`ChaseCache` built for the
+        Optional shared (possibly warm)
+        :class:`~repro.chase.implication.ChaseCache` built for the
         *same* dependency set.  The optimizer service passes a
         per-constraint-set cache here so chase fixpoints survive across
         requests.  Without one, each check chases its candidate only until
@@ -424,20 +414,19 @@ class FullBackchase:
             ]
 
         walk = _LevelWalk(universal_plan, deadline, self.chase_cache).run(run_wave)
-        return walk.result(self.strategy_label, start, "serial", 1, "inline")
+        return walk.result(self.strategy_label, start, "serial", 1)
 
 
 # ---------------------------------------------------------------------- #
-# wave evaluation (shared by every executor)
+# wave evaluation (shared by both engines)
 # ---------------------------------------------------------------------- #
 @dataclass
 class WaveContext:
-    """Picklable description of one backchase run, shared with the workers."""
+    """Description of one backchase run, shared with the pool's workers."""
 
     original: object
     universal_plan: object
     dependencies: list
-    chase_kwargs: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -450,9 +439,7 @@ class WaveOutcome:
     contained in the original (the original does not map into its chase):
     the walk prunes every subset below them.  The remaining fields carry the
     chunk's search effort (``counters``: its chases when the run has no
-    cache) and (for detached executors) the worker cache's newly chased
-    entries so the coordinator can merge them into the shared
-    :class:`ChaseCache`.
+    cache).
     """
 
     verdicts: dict = field(default_factory=dict)
@@ -461,52 +448,24 @@ class WaveOutcome:
     equivalence_checks: int = 0
     stats: SearchStats = field(default_factory=SearchStats)
     counters: ChaseCounters = field(default_factory=ChaseCounters)
-    cache_hits: int = 0
-    cache_misses: int = 0
-    new_entries: dict = field(default_factory=dict)
     timed_out: bool = False
 
 
-def _counters_delta(after, before):
-    return ChaseCounters(
-        closure_queries=after.closure_queries - before.closure_queries,
-        candidates_tried=after.candidates_tried - before.candidates_tried,
-        conditions_checked=after.conditions_checked - before.conditions_checked,
-        deps_checked=after.deps_checked - before.deps_checked,
-        deps_skipped=after.deps_skipped - before.deps_skipped,
-        trigger_misses=after.trigger_misses - before.trigger_misses,
-    )
-
-
-def _counters_copy(counters):
-    fresh = ChaseCounters()
-    fresh.add(counters)
-    return fresh
-
-
-def _evaluate_chunk(context, keys, deadline, cache, export_cache=False, memo=None):
+def _evaluate_chunk(context, keys, deadline, cache, memo=None):
     """Evaluate the equivalence checks for ``keys`` against ``context``.
 
-    Runs in the coordinating process (inline, serial / thread executors,
-    sharing the engine's cache or running without one) or in a worker
-    process (with a worker-local cache and ``export_cache=True``, or without
-    a cache).  Respects ``deadline``; a chunk that runs out of budget
-    returns the verdicts computed so far with ``timed_out=True``.  ``memo``
-    is the optional shared containment memo (see :func:`_check_equivalence`);
-    worker processes keep their own.
+    Runs on the caller's thread (:class:`FullBackchase`) or on a pool worker
+    (:class:`ParallelBackchase`), sharing the run's cache or running without
+    one.  Respects ``deadline``; a chunk that runs out of budget returns the
+    verdicts computed so far with ``timed_out=True``.  ``memo`` is the
+    optional shared containment memo (see :func:`_check_equivalence`).
 
     Without a cache, the chunk's ``counters`` are those of the chases it
-    ran.  With one, cache accounting (hit/miss/counter deltas, new entries)
-    is only meaningful — and only computed — for detached worker caches:
-    against a cache shared by concurrent chunks the before/after deltas
-    would include the other chunks' activity.  Shared-cache engines read the
-    accounting off the cache itself instead.
+    ran.  With one, the run reads its accounting off the cache itself: a
+    before/after delta taken here would include the concurrent chunks'
+    activity.
     """
     outcome = WaveOutcome()
-    if export_cache:
-        hits_before, misses_before = cache.hits, cache.misses
-        counters_before = _counters_copy(cache.counters)
-        marker = cache.snapshot()
     for key in keys:
         if deadline_passed(deadline):
             outcome.timed_out = True
@@ -536,286 +495,50 @@ def _evaluate_chunk(context, keys, deadline, cache, export_cache=False, memo=Non
         else:
             outcome.verdicts[key] = None
             outcome.not_contained.append(key)
-    if export_cache:
-        outcome.cache_hits = cache.hits - hits_before
-        outcome.cache_misses = cache.misses - misses_before
-        outcome.counters = _counters_delta(cache.counters, counters_before)
-        outcome.new_entries = cache.export_since(marker)
     return outcome
-
-
-def _round_robin(items, buckets):
-    """Deterministically split ``items`` into at most ``buckets`` chunks."""
-    return [items[start::buckets] for start in range(buckets) if items[start::buckets]]
-
-
-def size_ordered_chunks(keys, buckets):
-    """Split lattice keys into at most ``buckets`` size-balanced chunks.
-
-    A subset's chase cost grows with the size of the restricted subquery, so
-    the keys are sorted by estimated chase size (their cardinality) before
-    being dealt round-robin — the longest-processing-time-first heuristic
-    that keeps skewed waves from serialising behind one overloaded chunk.
-    Ties break on the sorted variable names so the split is deterministic.
-    Verdict merging is order-insensitive, so the chunking policy never
-    changes the produced plan set.
-    """
-    ordered = sorted(keys, key=lambda key: (-len(key), tuple(sorted(key))))
-    return _round_robin(ordered, buckets)
-
-
-def resolve_worker_count(workers):
-    """Resolve the ``workers`` knob: ``None`` means the machine's CPU count."""
-    return max(1, workers if workers is not None else (os.cpu_count() or 1))
-
-
-# ---------------------------------------------------------------------- #
-# executors
-# ---------------------------------------------------------------------- #
-class SerialExecutor:
-    """Evaluates every wave inline, as one chunk."""
-
-    kind = "serial"
-    #: Whether chunk outcomes come from a detached (worker-local) cache and
-    #: must be merged back into the shared one.
-    detached = False
-    #: How run_wave splits its keys across workers (recorded on the result).
-    chunk_policy = "inline"
-
-    def __init__(self, workers=None):
-        self.workers = 1
-
-    def start(self, context, cache, memo=None):
-        self._context = context
-        self._cache = cache
-        self._memo = memo
-
-    def run_wave(self, keys, deadline, seed_entries=None):
-        # seed_entries is ignored: the chunk evaluates against the shared
-        # cache, which already holds everything the coordinator merged.
-        return [_evaluate_chunk(self._context, keys, deadline, self._cache, memo=self._memo)]
-
-    def map(self, fn, payloads):
-        return [fn(payload) for payload in payloads]
-
-    def close(self):
-        pass
-
-
-class ThreadExecutor:
-    """Evaluates wave chunks on a thread pool sharing one :class:`ChaseCache`.
-
-    CPython's GIL serialises the pure-Python equivalence checks, so this
-    executor mainly exercises the wave machinery (and helps when a future
-    backend releases the GIL); dictionary reads/writes on the shared cache
-    are atomic under the GIL, the cache's own accounting is lock-protected,
-    and the per-chunk search counters are collected in chunk-local objects
-    and merged afterwards.
-    """
-
-    kind = "threads"
-    detached = False
-    chunk_policy = "size-ordered"
-
-    def __init__(self, workers=None):
-        self.workers = resolve_worker_count(workers)
-        self._pool = ThreadPoolExecutor(max_workers=self.workers, thread_name_prefix="backchase")
-
-    def start(self, context, cache, memo=None):
-        self._context = context
-        self._cache = cache
-        self._memo = memo
-
-    def run_wave(self, keys, deadline, seed_entries=None):
-        # seed_entries is ignored: every chunk shares the coordinator's cache.
-        chunks = size_ordered_chunks(keys, self.workers)
-        futures = [
-            self._pool.submit(
-                _evaluate_chunk, self._context, chunk, deadline, self._cache, memo=self._memo
-            )
-            for chunk in chunks
-        ]
-        return [future.result() for future in futures]
-
-    def map(self, fn, payloads):
-        return list(self._pool.map(fn, payloads))
-
-    def close(self):
-        self._pool.shutdown(wait=True)
-
-
-#: Per-worker-process state installed by :func:`_init_process_worker`.
-_PROCESS_STATE = None
-
-
-def _init_process_worker(context, keep_fixpoints):
-    global _PROCESS_STATE
-    from repro.cq.memo import ContainmentMemo
-
-    if not keep_fixpoints:
-        # The coordinator runs without a cache: so does the worker.
-        _PROCESS_STATE = (context, None, None)
-        return
-    _PROCESS_STATE = (
-        context,
-        ChaseCache(context.dependencies, **context.chase_kwargs),
-        ContainmentMemo(),
-    )
-
-
-def _process_chunk(payload):
-    keys, deadline, seed_entries = payload
-    context, cache, memo = _PROCESS_STATE
-    if seed_entries:
-        # Entries other workers chased in earlier waves, relayed by the
-        # coordinator.  Merged before the chunk's export marker is taken, so
-        # they are not shipped back again.
-        cache.merge_exported(seed_entries)
-    return _evaluate_chunk(
-        context, keys, deadline, cache, export_cache=cache is not None, memo=memo
-    )
-
-
-class ProcessExecutor:
-    """Evaluates wave chunks on a process pool with worker-local caches.
-
-    Each worker process is initialised once per run with the (picklable)
-    :class:`WaveContext`.  When the run has a shared cache, each worker
-    keeps its own :class:`ChaseCache` warm across waves; newly chased
-    entries are exported back with every chunk outcome, merged into the
-    coordinator's cache, and relayed to the other workers with the next
-    wave's payloads (so a subquery is chased at most once per wave across
-    the pool, not once per worker).  Without one, the workers run the
-    goal-directed checks and keep nothing.
-    """
-
-    kind = "processes"
-    detached = True
-    chunk_policy = "size-ordered"
-
-    def __init__(self, workers=None):
-        self.workers = resolve_worker_count(workers)
-        self._pool = None
-        self._map_pool = None
-
-    def start(self, context, cache, memo=None):
-        # ``memo`` is accepted for protocol uniformity but not shipped to the
-        # workers: each keeps a worker-local memo (like its worker-local
-        # cache) — verdicts are cheap to recompute and never merged back.
-        # Imported here, not at module level, so that importing the engine
-        # does not load ``multiprocessing`` into every process.
-        from concurrent.futures import ProcessPoolExecutor
-
-        # Only whether the run keeps fixpoints crosses to the workers: each
-        # builds its own cache when it does.
-        keep_fixpoints = cache is not None
-        self._pool = ProcessPoolExecutor(
-            max_workers=self.workers,
-            initializer=_init_process_worker,
-            initargs=(context, keep_fixpoints),
-        )
-
-    def run_wave(self, keys, deadline, seed_entries=None):
-        chunks = size_ordered_chunks(keys, self.workers)
-        futures = [
-            self._pool.submit(_process_chunk, (chunk, deadline, seed_entries))
-            for chunk in chunks
-        ]
-        return [future.result() for future in futures]
-
-    def map(self, fn, payloads):
-        if self._map_pool is None:
-            from concurrent.futures import ProcessPoolExecutor
-
-            self._map_pool = ProcessPoolExecutor(max_workers=self.workers)
-        return list(self._map_pool.map(fn, payloads))
-
-    def close(self):
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-        if self._map_pool is not None:
-            self._map_pool.shutdown(wait=True)
-            self._map_pool = None
-
-
-_EXECUTOR_CLASSES = {
-    "serial": SerialExecutor,
-    "threads": ThreadExecutor,
-    "processes": ProcessExecutor,
-}
-
-
-def make_executor(executor="serial", workers=None):
-    """Build an executor by kind (``"serial"``, ``"threads"``, ``"processes"``)."""
-    try:
-        executor_class = _EXECUTOR_CLASSES[executor]
-    except KeyError:
-        raise ValueError(f"unknown executor {executor!r}; expected one of {EXECUTORS}")
-    return executor_class(workers=workers)
 
 
 # ---------------------------------------------------------------------- #
 # the wave engine
 # ---------------------------------------------------------------------- #
 class ParallelBackchase:
-    """Backchase whose waves run on an executor.
+    """Backchase whose waves run on the optimizer service's shard pool.
 
     Runs the same level-wise walk as :class:`FullBackchase`, but each wave's
-    variable sets go to the configured executor, which evaluates them
-    concurrently; the verdicts and work counters of its chunks are merged
-    back into the walk (and, for worker processes, their newly chased
-    entries into the shared cache).  Pruning is decided in the walk, so the
-    checks made, the counters and the plan sets are the same under every
-    executor.
+    variable sets go to ``pool``, which evaluates them concurrently; the
+    verdicts and work counters of its chunks are merged back into the walk.
+    Pruning is decided in the walk, so the checks made, the counters and the
+    plan sets are the same as inline.
 
     Parameters
     ----------
-    original / dependencies / timeout / strategy_label:
+    original / dependencies:
         As for :class:`FullBackchase`.
-    executor:
-        ``"serial"`` (default), ``"threads"`` or ``"processes"``.
-    workers:
-        Worker count for the pooled executors (defaults to the CPU count).
     pool:
-        Optional externally managed executor-protocol object (``start`` /
-        ``run_wave`` / ``map`` / ``close`` plus ``kind`` / ``workers`` /
-        ``detached``).  When given, it is used instead of building one from
-        ``executor`` / ``workers`` and is **not** closed by :meth:`run` —
-        the optimizer service passes an adapter onto its shard's
-        long-lived worker pool here.
-    chase_cache:
-        Optional shared (possibly warm) :class:`ChaseCache` built for the
-        same dependency set, as for :class:`FullBackchase`; every executor
-        runs the goal-directed checks without one.
-    containment_memo:
-        Optional shared :class:`~repro.cq.memo.ContainmentMemo`, as for
-        :class:`FullBackchase`; handed to the pool alongside the cache so
-        every chunk's containment searches are memoised.
+        The :class:`~repro.service.scheduler.ScheduledPool` of the request
+        (``start`` / ``run_wave`` plus ``kind`` / ``workers``).  Its worker
+        pool belongs to the shard and outlives the run.
+    timeout / strategy_label / chase_cache / containment_memo:
+        As for :class:`FullBackchase`; every chunk shares the cache and the
+        memo.
     """
 
     def __init__(
         self,
         original,
         dependencies,
+        pool,
         timeout=None,
         strategy_label="fb",
-        executor="serial",
-        workers=None,
-        pool=None,
         chase_cache=None,
         containment_memo=None,
     ):
-        if pool is None and executor not in EXECUTORS:
-            raise ValueError(f"unknown executor {executor!r}; expected one of {EXECUTORS}")
         _require_cache_for_memo(chase_cache, containment_memo)
         self.original = original
         self.dependencies = list(dependencies)
+        self.pool = pool
         self.timeout = timeout
         self.strategy_label = strategy_label
-        self.executor = executor
-        self.workers = workers
-        self.pool = pool
         self.chase_cache = chase_cache
         self.containment_memo = containment_memo
 
@@ -823,61 +546,22 @@ class ParallelBackchase:
         """Enumerate the minimal equivalent subqueries of ``universal_plan``."""
         start = time.perf_counter()
         deadline = start + self.timeout if self.timeout is not None else None
-        cache = self.chase_cache
-        walk = _LevelWalk(universal_plan, deadline, cache)
-        owns_pool = self.pool is None
-        pool = make_executor(self.executor, self.workers) if owns_pool else self.pool
+        pool = self.pool
         pool.start(
             WaveContext(self.original, universal_plan, self.dependencies),
-            cache,
+            self.chase_cache,
             memo=self.containment_memo,
         )
-        # Cache entries already relayed to the workers (detached pools with a
-        # cache only): each wave ships the delta merged since the previous
-        # wave, so every worker benefits from every other worker's chases.
-        relayed = cache.snapshot() if cache is not None else None
-
-        def run_wave(keys):
-            nonlocal relayed
-            if cache is None or not pool.detached:
-                return pool.run_wave(keys, deadline)
-            outcomes = pool.run_wave(keys, deadline, cache.export_since(relayed))
-            for outcome in outcomes:
-                cache.merge_exported(
-                    outcome.new_entries,
-                    hits=outcome.cache_hits,
-                    misses=outcome.cache_misses,
-                    counters=outcome.counters,
-                )
-            relayed = cache.snapshot()
-            return outcomes
-
-        try:
-            walk.run(run_wave)
-        finally:
-            if owns_pool:
-                pool.close()
-        return walk.result(
-            self.strategy_label,
-            start,
-            pool.kind,
-            pool.workers,
-            getattr(pool, "chunk_policy", pool.kind),
-        )
+        walk = _LevelWalk(universal_plan, deadline, self.chase_cache)
+        walk.run(lambda keys: pool.run_wave(keys, deadline))
+        return walk.result(self.strategy_label, start, pool.kind, pool.workers)
 
 
 __all__ = [
     "BackchaseResult",
-    "EXECUTORS",
     "FullBackchase",
     "ParallelBackchase",
-    "ProcessExecutor",
-    "SerialExecutor",
-    "ThreadExecutor",
     "WaveContext",
     "WaveOutcome",
     "deadline_passed",
-    "make_executor",
-    "resolve_worker_count",
-    "size_ordered_chunks",
 ]

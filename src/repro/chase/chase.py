@@ -294,10 +294,8 @@ def collapse_duplicate_bindings(query, closure=None, stats=None):
 def deadline_passed(deadline):
     """Return ``True`` when the optional deadline has expired.
 
-    Deadlines are absolute :func:`time.perf_counter` values.  On every major
-    platform ``perf_counter`` reads a system-wide monotonic clock, so a
-    deadline computed in one process remains meaningful in a worker process
-    on the same machine (the parallel backchase relies on this).
+    Deadlines are absolute :func:`time.perf_counter` values, shared by the
+    caller's thread and the shard pool's workers.
     """
     return deadline is not None and time.perf_counter() > deadline
 
@@ -607,8 +605,7 @@ def _search_plan(dependency):
 
     Every chase checks every dependency, and the plan depends on the
     dependency's fields alone.  It is kept in the dependency's instance
-    dict (``_search_plan``), like its hash, and
-    ``Dependency.__getstate__`` drops it.  A catalog compiles its
+    dict (``_search_plan``), like its hash.  A catalog compiles its
     dependencies once, so the plan lives as long as the catalog's compile.
     Two threads racing on a fresh dependency both build equal plans, and
     either store wins.

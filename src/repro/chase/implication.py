@@ -66,7 +66,7 @@ def constraints_digest(constraints):
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-class ChaseCache:  # repro-lint: ignore[pickle-safety] never pickled — the session codec copies entries through export_since
+class ChaseCache:
     """Memoises chase results keyed by query signature.
 
     Within one backchase walk no two checks chase the same subquery, so the
@@ -76,10 +76,10 @@ class ChaseCache:  # repro-lint: ignore[pickle-safety] never pickled — the ses
     each candidate only until the original query maps in, and keeps nothing
     (see :func:`repro.chase.backchase._check_equivalence`).
 
-    The cache is *mergeable*: the parallel backchase gives each worker
-    process its own cache and folds the workers' newly chased entries
-    (exported with :meth:`snapshot` / :meth:`export_since`) back into the
-    shared cache with :meth:`merge_exported` after every wave.
+    The cache is *mergeable*, like :class:`~repro.cq.memo.ContainmentMemo`:
+    the session codec copies every entry out with :meth:`export` and folds
+    a decoded copy in with :meth:`merge` (snapshots and the fleet's
+    snapshot store).
 
     For long-lived use (the optimizer service keeps caches warm across
     optimize calls) the cache accepts an optional ``max_entries`` bound and
@@ -98,17 +98,12 @@ class ChaseCache:  # repro-lint: ignore[pickle-safety] never pickled — the ses
         cache-miss chase performed through this cache.
     """
 
-    def __init__(self, dependencies, max_entries=None, **chase_kwargs):
+    def __init__(self, dependencies, max_entries=None):
         if max_entries is not None and max_entries < 1:
             raise ValueError(f"max_entries must be >= 1 or None, got {max_entries!r}")
         self.dependencies = list(dependencies)
         self.max_entries = max_entries
-        self.chase_kwargs = chase_kwargs
         self._cache = OrderedDict()  # guarded-by: _lock
-        #: Insertion log backing :meth:`snapshot` / :meth:`export_since` — the
-        #: cache may evict, so "everything added after a marker" can no longer
-        #: be read off the dict length alone.
-        self._log = []  # guarded-by: _lock
         self.hits = 0  # guarded-by: _lock
         self.misses = 0  # guarded-by: _lock
         self.evictions = 0  # guarded-by: _lock
@@ -152,7 +147,7 @@ class ChaseCache:  # repro-lint: ignore[pickle-safety] never pickled — the ses
                 if self.max_entries is not None:
                     self._cache.move_to_end(key)
                 return ChaseResult(query=cached)
-        result = chase(query, self.dependencies, deadline=deadline, **self.chase_kwargs)
+        result = chase(query, self.dependencies, deadline=deadline)
         with self._lock:
             self.misses += 1
             self.counters.add(result.counters)
@@ -164,28 +159,14 @@ class ChaseCache:  # repro-lint: ignore[pickle-safety] never pickled — the ses
         """Record a fixpoint under the lock, evicting when over the bound."""
         if key not in self._cache:
             self._cache[key] = value
-            self._log.append(key)
-            self._evict()
-            self._compact_log()
+            while self.max_entries is not None and len(self._cache) > self.max_entries:
+                self._cache.popitem(last=False)
+                self.evictions += 1
         elif self.max_entries is not None:
             self._cache.move_to_end(key)
 
-    def _evict(self):  # holds: _lock
-        while self.max_entries is not None and len(self._cache) > self.max_entries:
-            self._cache.popitem(last=False)
-            self.evictions += 1
-
-    def _compact_log(self):  # holds: _lock
-        # Under heavy eviction churn the insertion log would otherwise grow
-        # without bound.  Compaction rewrites it to the live keys; outstanding
-        # snapshot markers then under-report (export_since returns fewer
-        # entries than were actually added), which only costs worker processes
-        # a re-chase — merge_exported is idempotent, so results are unchanged.
-        if self.max_entries is not None and len(self._log) > 4 * self.max_entries + 16:
-            self._log = list(self._cache)
-
     # ------------------------------------------------------------------ #
-    # merging (parallel backchase / service support)
+    # accounting, export and merge (the session codec)
     # ------------------------------------------------------------------ #
     def __len__(self):
         # Takes the lock: a bare len(self._cache) can observe a dict
@@ -209,41 +190,30 @@ class ChaseCache:  # repro-lint: ignore[pickle-safety] never pickled — the ses
                 "evictions": self.evictions,
             }
 
-    def snapshot(self):
-        """Return an opaque marker for :meth:`export_since`."""
-        with self._lock:
-            return len(self._log)
+    def export(self):
+        """Every entry as ``[(query signature, fixpoint)]`` in eviction order
+        (least recently used first when bounded, insertion order otherwise).
 
-    def export_since(self, marker=0):
-        """Return the entries added after ``marker`` as a plain dict.
-
-        Used by worker processes to ship their cache misses back to the
-        coordinating process without re-serialising the whole cache.  Entries
-        evicted since they were logged are skipped; after a log compaction a
-        stale marker may under-report (see :meth:`_compact_log`) — callers
-        treat the export as a best-effort warm-up, never as ground truth.
+        One copy taken under the lock, so a cache can be exported while
+        requests keep chasing into it; merging the list elsewhere keeps
+        that order.
         """
         with self._lock:
-            return {
-                key: self._cache[key] for key in self._log[marker:] if key in self._cache
-            }
+            return list(self._cache.items())
 
-    def merge_exported(self, entries, hits=0, misses=0, counters=None):
-        """Fold a worker's exported entries and accounting into this cache."""
+    def merge(self, entries):
+        """Fold an :meth:`export` list into this cache, under its bound.
+
+        Idempotent (an entry already present is left alone); accounting is
+        *not* transferred — hit/miss counters describe this process's
+        traffic, and loaded fixpoints show up as future hits instead.
+        """
         with self._lock:
-            for key, value in entries.items():
-                if key not in self._cache:
-                    self._cache[key] = value
-                    self._log.append(key)
-            self._evict()
-            self._compact_log()
-            self.hits += hits
-            self.misses += misses
-            if counters is not None:
-                self.counters.add(counters)
+            for key, value in entries:
+                self._store(key, value)
 
 
-class ChaseCacheRegistry:  # repro-lint: ignore[pickle-safety] never pickled — the session codec copies caches through export_entries
+class ChaseCacheRegistry:
     """Warm :class:`ChaseCache` instances keyed by exact constraint set.
 
     One optimize call chases under several *different* dependency sets (the
@@ -256,9 +226,8 @@ class ChaseCacheRegistry:  # repro-lint: ignore[pickle-safety] never pickled —
     Thread-safe; ``max_entries`` bounds each per-set cache individually.
     """
 
-    def __init__(self, max_entries=None, **chase_kwargs):
+    def __init__(self, max_entries=None):
         self.max_entries = max_entries
-        self.chase_kwargs = chase_kwargs
         self._caches = {}  # guarded-by: _lock
         self._lock = threading.Lock()
 
@@ -268,9 +237,7 @@ class ChaseCacheRegistry:  # repro-lint: ignore[pickle-safety] never pickled —
         with self._lock:
             cache = self._caches.get(key)
             if cache is None:
-                cache = ChaseCache(
-                    dependencies, max_entries=self.max_entries, **self.chase_kwargs
-                )
+                cache = ChaseCache(dependencies, max_entries=self.max_entries)
                 self._caches[key] = cache
             return cache
 
@@ -300,14 +267,14 @@ class ChaseCacheRegistry:  # repro-lint: ignore[pickle-safety] never pickled —
     # whole export / merge (the session codec)
     # ------------------------------------------------------------------ #
     def export_entries(self):
-        """Every cache's entries as ``(dependencies, {query_signature:
-        fixpoint})`` pairs, one per non-empty cache, each copied under its
-        cache's lock."""
+        """Every cache's entries as ``(dependencies, [(query signature,
+        fixpoint)])`` pairs, one per non-empty cache, each copied under its
+        cache's lock (:meth:`ChaseCache.export`)."""
         with self._lock:
             caches = list(self._caches.values())
         exported = []
         for cache in caches:
-            entries = cache.export_since(0)
+            entries = cache.export()
             if entries:
                 exported.append((tuple(cache.dependencies), entries))
         return exported
@@ -318,11 +285,11 @@ class ChaseCacheRegistry:  # repro-lint: ignore[pickle-safety] never pickled —
         Creates the per-constraint-set cache on first contact (the receiving
         process may never have chased under that sub-set locally — OQF/OCS
         fragment sets differ per strategy mix) under this registry's LRU
-        bound.  Duplicates are skipped inside :meth:`ChaseCache.
-        merge_exported`, so replaying an export is safe.
+        bound.  Duplicates are skipped inside :meth:`ChaseCache.merge`, so
+        replaying an export is safe.
         """
         for dependencies, entries in exported:
-            self.for_constraints(dependencies).merge_exported(entries)
+            self.for_constraints(dependencies).merge(entries)
 
 
 def contained_under(query, other, dependencies, chase_cache=None):

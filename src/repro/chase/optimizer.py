@@ -12,13 +12,14 @@
 
 Every backchase, of the whole universal plan or of an OQF fragment or OCS
 stage, runs the one level-wise walk of :mod:`repro.chase.backchase`, which
-skips every subset of a subquery that failed containment.  Parallelism: the
-``executor`` / ``workers`` knobs (or the service's ``pool``) select where
-the walk's waves are evaluated (``"fb"`` then uses
-:class:`~repro.chase.backchase.ParallelBackchase` instead of the inline
-:class:`~repro.chase.backchase.FullBackchase`) and fan the independent OQF
-fragments and OCS stage queries of a stratum across the same kind of worker
-pool; the checks made and the plans found are the same either way.
+skips every subset of a subquery that failed containment.  A single-shot
+optimizer runs everything inline, on the caller's thread.  Inside the
+optimizer service, the ``pool`` of the request's shard
+(:class:`~repro.service.scheduler.ScheduledPool`) evaluates the ``"fb"``
+walk's waves (:class:`~repro.chase.backchase.ParallelBackchase` instead of
+the inline :class:`~repro.chase.backchase.FullBackchase`) and runs the
+independent OQF fragments and OCS stage queries of a stratum; the checks
+made and the plans found are the same either way.
 Timeouts are enforced as absolute deadlines threaded through the chase phase
 as well, so an optimize call never exceeds its budget by more than the
 granularity of the engines' deadline checks.
@@ -29,13 +30,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from repro.chase.backchase import (
-    EXECUTORS,
-    FullBackchase,
-    ParallelBackchase,
-    make_executor,
-    resolve_worker_count,
-)
+from repro.chase.backchase import FullBackchase, ParallelBackchase
 from repro.chase.chase import chase
 from repro.chase.plans import Plan, dedupe_plans
 from repro.chase.stratify import assemble_plan, decompose_query, stratify_constraints
@@ -61,9 +56,9 @@ class OptimizationResult:
         The chased query (for ``"fb"``; fragment/stage universal plans are
         not retained).
     chase_time / backchase_time:
-        Wall-clock seconds spent in each phase.  For OQF/OCS under a pooled
-        executor, ``chase_time`` sums the *per-stage* chase times across
-        concurrent workers and may therefore exceed the wall-clock total;
+        Wall-clock seconds spent in each phase.  For OQF/OCS on a pool,
+        ``chase_time`` sums the *per-stage* chase times across concurrent
+        workers and may therefore exceed the wall-clock total;
         ``backchase_time`` (the wall-clock remainder) is clamped at zero in
         that case.
     subqueries_explored / equivalence_checks:
@@ -77,7 +72,8 @@ class OptimizationResult:
         Engine-effort counters summed over the run's chases and backchases
         (benchmarks record these to track the perf trajectory across PRs).
     executor / workers:
-        The executor kind and worker count the run was configured with.
+        Where the run's parallel work ran: ``"serial"`` with one worker
+        inline, or the pool's kind and worker count.
     """
 
     original: object
@@ -126,7 +122,7 @@ class OptimizationResult:
 
 
 # ---------------------------------------------------------------------- #
-# picklable per-fragment / per-stage work unit (OQF and OCS fan-out)
+# per-fragment / per-stage work unit (OQF and OCS fan-out)
 # ---------------------------------------------------------------------- #
 @dataclass
 class _StageTask:
@@ -135,11 +131,9 @@ class _StageTask:
     ``chase_cache`` is an optional warm
     :class:`~repro.chase.implication.ChaseCache` built for *exactly*
     ``constraints``, and ``containment_memo`` the memo read with it.
-    Neither is set on the pickled process-pool path: a task there runs
-    without a cache or memo, so its backchase makes goal-directed checks
-    and keeps nothing.  Under the optimizer service, stage tasks run on the
-    shard's worker pool through
-    :meth:`~repro.service.scheduler.ScheduledPool.map`.
+    Without them the task's backchase makes goal-directed checks and keeps
+    nothing.  Under the optimizer service, stage tasks run on the shard's
+    worker pool through :meth:`~repro.service.scheduler.ScheduledPool.map`.
     """
 
     query: object
@@ -152,7 +146,7 @@ class _StageTask:
 
 @dataclass
 class _StageOutcome:
-    """Picklable summary of one stage's chase+backchase, merged in order."""
+    """Summary of one stage's chase+backchase, merged in order."""
 
     plan_queries: list = field(default_factory=list)
     chase_time: float = 0.0
@@ -165,7 +159,7 @@ class _StageOutcome:
 
 
 def _run_stage_task(task):
-    """Chase a stage query and backchase its universal plan (worker-safe).
+    """Chase a stage query and backchase its universal plan.
 
     The remaining budget is recomputed *after* the chase (the chase itself is
     deadline-bounded), so the backchase never starts with a stale budget and
@@ -228,12 +222,6 @@ class CBOptimizer:
         Default per-optimization wall-clock budget in seconds (``None`` for
         unlimited); can be overridden per call.  The budget covers the chase
         phase as well as the backchase.
-    workers:
-        Worker count for the pooled executors (``None`` = CPU count).
-    executor:
-        ``"serial"`` (default), ``"threads"`` or ``"processes"``; drives the
-        wave-parallel backchase for ``"fb"`` and the fragment/stage fan-out
-        for ``"oqf"`` / ``"ocs"``.
     cache_registry:
         Optional :class:`~repro.chase.implication.ChaseCacheRegistry` of
         warm chase caches keyed by exact constraint set.  When given, the
@@ -245,11 +233,10 @@ class CBOptimizer:
         Plan sets are unaffected either way — cached entries are exact
         fixpoints for exactly the constraint set they are keyed under.
     pool:
-        Optional externally managed executor-protocol object used for both
-        the wave-parallel backchase and the fragment/stage fan-out instead of
-        per-call pools built from ``executor`` / ``workers``.  Never closed
-        by this class; the service passes an adapter onto its shard's
-        long-lived worker pool here.
+        Optional :class:`~repro.service.scheduler.ScheduledPool` that runs
+        the ``"fb"`` backchase waves and the OQF/OCS stage tasks; the
+        service passes one onto its shard's long-lived worker pool here.
+        Without one, everything runs inline.
     containment_memo:
         Optional shared :class:`~repro.cq.memo.ContainmentMemo`, read by the
         equivalence checks that run on ``cache_registry``'s caches; it needs
@@ -257,8 +244,7 @@ class CBOptimizer:
         are independent of the constraint set (they compare two concrete
         queries), so a single memo serves every strategy, fragment and
         stage; the optimizer service shares one per catalog session, so warm
-        requests stop redoing the containment searches.  Like the warm chase
-        caches, it is never shipped onto pickled process-pool tasks.
+        requests stop redoing the containment searches.
     """
 
     def __init__(
@@ -266,23 +252,17 @@ class CBOptimizer:
         catalog=None,
         constraints=None,
         timeout=None,
-        workers=1,
-        executor="serial",
         cache_registry=None,
         pool=None,
         containment_memo=None,
     ):
         if catalog is None and constraints is None:
             raise ValueError("CBOptimizer needs a catalog or an explicit constraint list")
-        if pool is None and executor not in EXECUTORS:
-            raise ValueError(f"unknown executor {executor!r}; expected one of {EXECUTORS}")
         if containment_memo is not None and cache_registry is None:
             raise ValueError("a containment memo is read only with a cache registry; pass both")
         self.catalog = catalog
         self._constraints = list(constraints) if constraints is not None else None
         self.timeout = timeout
-        self.workers = workers
-        self.executor = executor
         self.cache_registry = cache_registry
         self.pool = pool
         self.containment_memo = containment_memo
@@ -352,17 +332,10 @@ class CBOptimizer:
     # parallelism helpers
     # ------------------------------------------------------------------ #
     def _stamp(self, result):
-        """Record the run's actual parallel configuration on the result.
-
-        The ``serial`` executor always runs single-worker, whatever the
-        ``workers`` knob says; an external pool reports its own kind/size.
-        """
+        """Record where the run's parallel work ran: the pool, or inline."""
         if self.pool is not None:
             result.executor = self.pool.kind
             result.workers = self.pool.workers
-            return result
-        result.executor = self.executor
-        result.workers = 1 if self.executor == "serial" else resolve_worker_count(self.workers)
         return result
 
     def _stage_cache(self, constraints):
@@ -370,34 +343,6 @@ class CBOptimizer:
         if self.cache_registry is None:
             return None
         return self.cache_registry.for_constraints(constraints)
-
-    def _detached_stages(self):
-        """Whether fragment/stage tasks run on a detached (process) pool."""
-        if self.pool is not None:
-            return getattr(self.pool, "detached", False)
-        return self.executor == "processes"
-
-    def _stage_task_cache(self, constraints):
-        """The warm cache for a fragment/stage task, or ``None``.
-
-        Stage tasks dispatched to a detached (process) pool are pickled, so a
-        shared cache would be copied rather than shared — those tasks get no
-        cache or memo, so their backchases make goal-directed checks and
-        keep nothing.
-        """
-        if self._detached_stages():
-            return None
-        return self._stage_cache(constraints)
-
-    def _stage_task_memo(self):
-        """The shared containment memo for a stage task, or ``None``.
-
-        Same pickling rule as :meth:`_stage_task_cache`: never shipped to
-        detached process pools.
-        """
-        if self._detached_stages():
-            return None
-        return self.containment_memo
 
     def _chase(self, query, constraints, deadline):
         """Chase ``query``, through the warm cache registry when configured."""
@@ -413,20 +358,9 @@ class CBOptimizer:
             return ParallelBackchase(
                 original,
                 constraints,
+                self.pool,
                 timeout=timeout,
                 strategy_label=label,
-                pool=self.pool,
-                chase_cache=chase_cache,
-                containment_memo=self.containment_memo,
-            )
-        if self.executor != "serial":
-            return ParallelBackchase(
-                original,
-                constraints,
-                timeout=timeout,
-                strategy_label=label,
-                executor=self.executor,
-                workers=self.workers,
                 chase_cache=chase_cache,
                 containment_memo=self.containment_memo,
             )
@@ -439,30 +373,11 @@ class CBOptimizer:
             containment_memo=self.containment_memo,
         )
 
-    def _make_stage_pool(self):
-        """Build the fragment/stage fan-out pool, or ``None`` when serial.
-
-        Callers create one pool per optimize call and reuse it across every
-        stratum/fragment wave (pool startup is not free, especially for
-        process pools), closing it in a ``finally`` — except for an external
-        ``pool``, whose lifecycle belongs to its owner (the service).
-        """
-        if self.pool is not None:
-            return self.pool
-        if self.executor == "serial":
-            return None
-        return make_executor(self.executor, self.workers)
-
-    def _close_stage_pool(self, pool):
-        if pool is not None and pool is not self.pool:
-            pool.close()
-
-    @staticmethod
-    def _map_stage_tasks(tasks, pool=None):
-        """Run independent stage tasks, on ``pool`` when one is configured."""
-        if pool is None:
+    def _map_stage_tasks(self, tasks):
+        """Run independent stage tasks, on the pool when one is configured."""
+        if self.pool is None:
             return [_run_stage_task(task) for task in tasks]
-        return pool.map(_run_stage_task, tasks)
+        return self.pool.map(_run_stage_task, tasks)
 
     @staticmethod
     def _remaining(deadline):
@@ -535,8 +450,8 @@ class CBOptimizer:
                     fragment_constraints,
                     deadline,
                     "oqf",
-                    chase_cache=self._stage_task_cache(fragment_constraints),
-                    containment_memo=self._stage_task_memo(),
+                    chase_cache=self._stage_cache(fragment_constraints),
+                    containment_memo=self.containment_memo,
                 )
             )
 
@@ -548,11 +463,7 @@ class CBOptimizer:
         cache_misses = 0
         timed_out = False
         fragment_plan_sets = []
-        pool = self._make_stage_pool()
-        try:
-            outcomes = self._map_stage_tasks(tasks, pool)
-        finally:
-            self._close_stage_pool(pool)
+        outcomes = self._map_stage_tasks(tasks)
         for fragment, outcome in zip(decomposition.fragments, outcomes):
             chase_time += outcome.chase_time
             explored += outcome.subqueries_explored
@@ -613,40 +524,36 @@ class CBOptimizer:
         cache_misses = 0
         timed_out = False
         current = [query]
-        pool = self._make_stage_pool()
-        try:
-            for stratum in strata:
-                stratum_constraints = list(stratum)
-                stratum_cache = self._stage_task_cache(stratum_constraints)
-                tasks = [
-                    _StageTask(
-                        stage_query,
-                        stratum_constraints,
-                        deadline,
-                        "ocs",
-                        chase_cache=stratum_cache,
-                        containment_memo=self._stage_task_memo(),
-                    )
-                    for stage_query in current
-                ]
-                next_stage = []
-                for stage_query, outcome in zip(current, self._map_stage_tasks(tasks, pool)):
-                    chase_time += outcome.chase_time
-                    explored += outcome.subqueries_explored
-                    checks += outcome.equivalence_checks
-                    closure_queries += outcome.closure_queries
-                    cache_hits += outcome.cache_hits
-                    cache_misses += outcome.cache_misses
-                    timed_out = timed_out or outcome.timed_out
-                    if outcome.plan_queries:
-                        next_stage.extend(outcome.plan_queries)
-                    else:
-                        # A timed-out stage keeps its input query so the
-                        # pipeline (and the final plan list) never goes empty.
-                        next_stage.append(stage_query)
-                current = _dedupe_queries(next_stage)
-        finally:
-            self._close_stage_pool(pool)
+        for stratum in strata:
+            stratum_constraints = list(stratum)
+            stratum_cache = self._stage_cache(stratum_constraints)
+            tasks = [
+                _StageTask(
+                    stage_query,
+                    stratum_constraints,
+                    deadline,
+                    "ocs",
+                    chase_cache=stratum_cache,
+                    containment_memo=self.containment_memo,
+                )
+                for stage_query in current
+            ]
+            next_stage = []
+            for stage_query, outcome in zip(current, self._map_stage_tasks(tasks)):
+                chase_time += outcome.chase_time
+                explored += outcome.subqueries_explored
+                checks += outcome.equivalence_checks
+                closure_queries += outcome.closure_queries
+                cache_hits += outcome.cache_hits
+                cache_misses += outcome.cache_misses
+                timed_out = timed_out or outcome.timed_out
+                if outcome.plan_queries:
+                    next_stage.extend(outcome.plan_queries)
+                else:
+                    # A timed-out stage keeps its input query so the
+                    # pipeline (and the final plan list) never goes empty.
+                    next_stage.append(stage_query)
+            current = _dedupe_queries(next_stage)
         plans = dedupe_plans([Plan(plan_query, strategy="ocs") for plan_query in current])
         plans = plans or [Plan(query, strategy="ocs")]
         total = time.perf_counter() - start

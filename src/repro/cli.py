@@ -7,8 +7,7 @@ Usage (after ``pip install -e .``)::
     python -m repro.cli plans-table
     python -m repro.cli fig9 --stars 3 --corners 2 --views 1 --size 5000
     python -m repro.cli fig10 --size 10000
-    python -m repro.cli parallel-scaling --executor processes --timeout 60
-    python -m repro.cli optimize ec2 --stars 2 --corners 3 --views 1 --strategy oqf --workers 4 --executor processes
+    python -m repro.cli optimize ec2 --stars 2 --corners 3 --views 1 --strategy oqf
     python -m repro.cli batch --input requests.jsonl --output results.jsonl --shards 2
     python -m repro.cli serve < requests.jsonl
     python -m repro.cli serve --port 7411 --max-queue-depth 16 --snapshot warm.snap
@@ -19,7 +18,8 @@ Usage (after ``pip install -e .``)::
 
 The ``fig*`` / ``plans-table`` commands print the same rows the corresponding
 figures and tables of the paper report; ``optimize`` runs a single optimizer
-invocation on one of the experimental configurations and prints the plans.
+invocation on one of the experimental configurations, inline on one thread,
+and prints the plans.
 
 ``batch`` and ``serve`` run the long-lived :mod:`repro.service` optimizer
 service over a JSONL stream of requests (see
@@ -91,10 +91,6 @@ EXPERIMENTS = {
     "fig8": (figures.figure8_granularity, ("timeout",)),
     "fig9": (figures.figure9_plan_detail, ("stars", "corners", "views", "size", "timeout")),
     "fig10": (figures.figure10_time_reduction, ("size", "timeout")),
-    "parallel-scaling": (
-        figures.parallel_backchase_scaling,
-        ("stars", "corners", "views", "timeout", "workers", "executor"),
-    ),
     "service-throughput": (
         figures.service_throughput,
         ("timeout", "workers", "shards", "repeats"),
@@ -128,7 +124,7 @@ def build_parser():
         experiment = subparsers.add_parser(name, help=f"run the {name} experiment")
         _add_common_options(experiment)
         if "workers" in accepted:
-            _add_parallel_options(experiment)
+            _add_workers_option(experiment)
         if "shards" in accepted:
             experiment.add_argument(
                 "--shards", type=int, default=None, help="service shard count"
@@ -143,7 +139,6 @@ def build_parser():
     optimize.add_argument("workload", choices=["ec1", "ec2", "ec3"])
     optimize.add_argument("--strategy", choices=["fb", "oqf", "ocs"], default="fb")
     _add_common_options(optimize)
-    _add_parallel_options(optimize)
     optimize.add_argument("--relations", type=int, default=3, help="EC1: number of relations")
     optimize.add_argument(
         "--secondary-indexes", type=int, default=0, help="EC1: number of secondary indexes"
@@ -348,16 +343,9 @@ def _add_common_options(subparser):
     subparser.add_argument("--timeout", type=float, default=None, help="backchase timeout (s)")
 
 
-def _add_parallel_options(subparser):
-    """Parallelism knobs, only on the subcommands that honour them."""
+def _add_workers_option(subparser):
     subparser.add_argument(
-        "--workers", type=int, default=None, help="worker count for the parallel backchase"
-    )
-    subparser.add_argument(
-        "--executor",
-        choices=["serial", "threads", "processes"],
-        default=None,
-        help="how to fan out the backchase lattice and OQF/OCS stages",
+        "--workers", type=int, default=None, help="worker-pool threads per shard"
     )
 
 
@@ -369,9 +357,7 @@ def _add_service_options(subparser):
         "--output", default="-", help="JSONL result file ('-' = stdout, the default)"
     )
     subparser.add_argument("--shards", type=int, default=1, help="service shard count")
-    subparser.add_argument(
-        "--workers", type=int, default=None, help="worker-pool threads per shard"
-    )
+    _add_workers_option(subparser)
     subparser.add_argument(
         "--max-inflight", type=int, default=4, help="concurrent requests per shard"
     )
@@ -504,30 +490,14 @@ def _build_workload(args):
     return build_ec3(args.classes, args.asrs)
 
 
-def _resolve_workers(workers, executor):
-    """Resolve the ``--workers`` default for a requested executor.
-
-    ``serial`` always means one worker — also when ``--executor serial`` is
-    passed explicitly with ``--workers`` omitted (historically that
-    combination fell through to CPU-count semantics).  For the pooled
-    executors an omitted ``--workers`` keeps meaning "CPU count" (``None``).
-    """
-    if workers is not None:
-        return workers
-    return 1 if executor == "serial" else None
-
-
 def _run_optimize(args, out):
     workload = _build_workload(args)
-    executor = args.executor or "serial"
-    workers = _resolve_workers(args.workers, executor)
-    optimizer = workload.optimizer(timeout=args.timeout, workers=workers, executor=executor)
+    optimizer = workload.optimizer(timeout=args.timeout)
     result = optimizer.optimize(workload.query, strategy=args.strategy)
     print(
         f"{args.workload.upper()} {workload.params}: {result.plan_count} plans "
         f"in {result.total_time:.3f}s with {args.strategy.upper()} "
-        f"({result.subqueries_explored} subqueries explored, "
-        f"executor {result.executor} x{result.workers}"
+        f"({result.subqueries_explored} subqueries explored"
         f"{', timed out' if result.timed_out else ''})",
         file=out,
     )
@@ -656,7 +626,7 @@ def _save_snapshot(service, args):
         service.store.save(service.export_sessions(), faults=service.fault_injector)
 
 
-class _StreamEmitter:  # repro-lint: ignore[pickle-safety] never pickled — wraps a live output stream for one CLI run
+class _StreamEmitter:
     """Serialised JSONL output + failure accounting for the stream modes.
 
     Completion callbacks run on shard runner threads concurrently with the

@@ -27,7 +27,7 @@ the indexed hot paths of the engine rely on:
 
 from __future__ import annotations
 
-from repro.lang.ast import Attr, Const, Dom, Lookup, Path
+from repro.lang.ast import Attr, Dom, Lookup, Path
 
 
 class CongruenceClosure:
@@ -183,10 +183,6 @@ class CongruenceClosure:
         """Monotone counter of unions; any change invalidates root-keyed indexes."""
         return self._generation
 
-    def snapshot(self):
-        """Return an opaque staleness token (the current generation)."""
-        return self._generation
-
     @property
     def union_count(self):
         """Total number of unions performed (length of the union log)."""
@@ -273,6 +269,4 @@ def _op_key(path):
         return ("lookup",)
     if isinstance(path, Dom):
         return ("dom",)
-    if isinstance(path, Const):
-        return ("const", path.value)
     raise TypeError(f"leaf term has no signature: {path!r}")

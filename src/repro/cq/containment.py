@@ -86,7 +86,7 @@ def keep_search_schedule(source):
     The schedule depends only on the query's bindings and conditions.  A
     source that is searched many times keeps it in its instance dict
     (``_search_schedule``, read by every containment search from it), like
-    ``PCQuery.signature``, and pickling drops it: the backchase keeps the
+    ``PCQuery.signature``: the backchase keeps the
     schedule of its original query, the source of every check's search,
     and a goal-directed chase (:func:`repro.chase.chase.chase`) that of its
     goal.  Other sources, such as the queries of a one-off containment

@@ -30,7 +30,7 @@ from repro.cq.containment import has_containment_mapping
 from repro.trace import traced_stage
 
 
-class ContainmentMemo:  # repro-lint: ignore[pickle-safety] never pickled — the session codec copies verdicts through export
+class ContainmentMemo:
     """LRU-bounded memo of containment-mapping verdicts.
 
     Parameters

@@ -325,31 +325,6 @@ class PCQuery:
         table[key] = result
         return result
 
-    def __getstate__(self):
-        """Pickle state for the process-pool backchase (trusted local processes).
-
-        A copy of the instance dict without the memoised ``_hash``,
-        ``_signature``, ``_variable_set``, containment search schedule
-        (``_search_schedule``, see :func:`repro.cq.containment.
-        keep_search_schedule`) and OQF decompositions (``_decompositions``,
-        see :func:`repro.chase.stratify.decompose_query`): the receiver
-        rebuilds them on first use (``hash()`` of a ``str`` is salted per
-        process), so a payload carries the fields and the restriction table
-        only.  The table is copied too, so pickling
-        never iterates a table a concurrent request is still filling.
-        """
-        state = dict(self.__dict__)
-        for memo in _INSTANCE_MEMOS:
-            state.pop(memo, None)
-        table = state.get("_restrictions")
-        if table is not None:
-            state["_restrictions"] = dict(table)
-        return state
-
-    def __setstate__(self, state):
-        for name, value in state.items():
-            object.__setattr__(self, name, value)
-
     # ------------------------------------------------------------------ #
     # memoisation keys
     # ------------------------------------------------------------------ #
@@ -393,10 +368,6 @@ class PCQuery:
             )
             object.__setattr__(self, "_signature", signature)
         return signature
-
-
-#: Values memoised in a query's instance dict, which pickling drops.
-_INSTANCE_MEMOS = ("_hash", "_signature", "_variable_set", "_search_schedule", "_decompositions")
 
 
 def fresh_name(base, taken):

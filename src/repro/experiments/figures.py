@@ -23,7 +23,6 @@ from repro.experiments.harness import (
     measure_chase,
     measure_crash_recovery,
     measure_execution,
-    measure_parallel_scaling,
     measure_service_throughput,
     measure_stage_breakdown,
     measure_strategy,
@@ -313,58 +312,6 @@ def _group_strata(strata, group_size):
                     merged.append(dependency)
         grouped.append(merged)
     return grouped
-
-
-# ---------------------------------------------------------------------- #
-# Parallel backchase scaling (post-paper: the PR 2 experiment)
-# ---------------------------------------------------------------------- #
-def parallel_backchase_scaling(
-    stars=2,
-    corners=4,
-    views=2,
-    worker_counts=(1, 2, 4, 8),
-    executor="processes",
-    timeout=DEFAULT_TIMEOUT,
-    workers=None,
-):
-    """Wave-parallel backchase vs. the inline engine on one EC2 instance.
-
-    The chase runs once; the inline :class:`FullBackchase` (the same walk,
-    its waves evaluated on the caller's thread) sets the baseline, then the
-    wave engine runs at each worker count on the same universal plan.  Every row asserts the two engines' plan sets are
-    signature-identical; the speedup column tracks the wall-clock win (bounded
-    by the machine's usable cores — the ``serial`` executor and 1-worker rows
-    quantify the wave engine's own overhead).
-
-    ``workers`` (the CLI's ``--workers`` flag) overrides ``worker_counts``
-    with the single count requested.
-    """
-    if workers is not None:
-        worker_counts = (workers,)
-    workload = build_ec2(stars, corners, views)
-    measurements = measure_parallel_scaling(
-        workload, worker_counts=worker_counts, executor=executor, timeout=timeout
-    )
-    serial_time = measurements[0].serial_time if measurements else 0.0
-    result = ExperimentResult(
-        f"Parallel backchase scaling on EC2 [{stars} stars, {corners} corners/star, {views} views/star]",
-        ["workers", "executor", "backchase time (s)", "speedup vs serial", "plans", "waves", "matches serial"],
-        notes=f"inline FullBackchase baseline: {serial_time:.3f}s",
-    )
-    for measurement in measurements:
-        result.rows.append(
-            (
-                measurement.workers,
-                measurement.executor,
-                measurement.backchase_time,
-                round(measurement.speedup, 3),
-                measurement.plan_count,
-                measurement.waves,
-                measurement.plans_match_serial,
-            )
-        )
-    result.measurements = measurements
-    return result
 
 
 # ---------------------------------------------------------------------- #
@@ -724,7 +671,6 @@ __all__ = [
     "figure7_ec2",
     "figure8_granularity",
     "figure9_plan_detail",
-    "parallel_backchase_scaling",
     "plans_table_ec2",
     "service_throughput",
     "stage_breakdown",

@@ -15,7 +15,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from repro.chase.backchase import FullBackchase, ParallelBackchase, resolve_worker_count
 from repro.chase.chase import chase
 from repro.engine.executor import execute_timed
 
@@ -72,13 +71,11 @@ class StrategyMeasurement:
     closure_queries: int = 0
     cache_hits: int = 0
     cache_misses: int = 0
-    executor: str = "serial"
-    workers: int = 1
 
 
-def measure_strategy(workload, strategy, timeout=None, workers=1, executor="serial"):
+def measure_strategy(workload, strategy, timeout=None):
     """Optimize the workload's query under ``strategy`` and record the cost."""
-    optimizer = workload.optimizer(timeout=timeout, workers=workers, executor=executor)
+    optimizer = workload.optimizer(timeout=timeout)
     result = optimizer.optimize(workload.query, strategy=strategy)
     return StrategyMeasurement(
         params=dict(workload.params),
@@ -92,72 +89,7 @@ def measure_strategy(workload, strategy, timeout=None, workers=1, executor="seri
         closure_queries=result.closure_queries,
         cache_hits=result.cache_hits,
         cache_misses=result.cache_misses,
-        executor=result.executor,
-        workers=result.workers,
     )
-
-
-@dataclass
-class ParallelBackchaseMeasurement:
-    """One point of the parallel-backchase scaling experiment.
-
-    ``speedup`` is serial wall-clock divided by this run's wall-clock on the
-    *same* universal plan; ``plans_match_serial`` asserts the engines'
-    signature-identical plan sets (the correctness half of the experiment).
-    """
-
-    params: dict
-    executor: str
-    workers: int
-    backchase_time: float
-    serial_time: float
-    speedup: float
-    plan_count: int
-    plans_match_serial: bool
-    waves: int = 0
-    timed_out: bool = False
-    serial_timed_out: bool = False
-
-
-def measure_parallel_scaling(workload, worker_counts=(1, 2, 4), executor="threads", timeout=None):
-    """Backchase one universal plan serially, then at each worker count.
-
-    The chase runs once; the inline :class:`FullBackchase` (the same
-    level-wise walk, its waves evaluated on the caller's thread) provides
-    both the baseline wall-clock and the reference plan signatures that
-    every parallel run is compared against.
-    """
-    constraints = workload.catalog.constraints()
-    universal = chase(workload.query, constraints).query
-    serial = FullBackchase(workload.query, constraints, timeout=timeout).run(universal)
-    serial_signatures = {plan.signature() for plan in serial.plans}
-    measurements = []
-    for workers in worker_counts:
-        engine = ParallelBackchase(
-            workload.query,
-            constraints,
-            timeout=timeout,
-            executor=executor,
-            workers=workers,
-        )
-        result = engine.run(universal)
-        signatures = {plan.signature() for plan in result.plans}
-        measurements.append(
-            ParallelBackchaseMeasurement(
-                params=dict(workload.params),
-                executor=executor,
-                workers=result.workers,
-                backchase_time=result.elapsed,
-                serial_time=serial.elapsed,
-                speedup=serial.elapsed / result.elapsed if result.elapsed > 0 else float("inf"),
-                plan_count=result.plan_count,
-                plans_match_serial=signatures == serial_signatures,
-                waves=result.waves,
-                timed_out=result.timed_out,
-                serial_timed_out=serial.timed_out,
-            )
-        )
-    return measurements
 
 
 @dataclass
@@ -165,8 +97,8 @@ class ServiceThroughputMeasurement:
     """Warm sharded service vs. cold per-call optimization (the PR 4 experiment).
 
     ``cold_seconds`` runs every request through a *fresh*
-    :class:`~repro.chase.optimizer.CBOptimizer` sequentially (per-call pools,
-    per-call caches — the library-call baseline); ``warm_seconds`` runs the
+    :class:`~repro.chase.optimizer.CBOptimizer` sequentially (per-call
+    caches — the library-call baseline); ``warm_seconds`` runs the
     same request list through a long-lived
     :class:`~repro.service.OptimizerService`.  ``plans_match`` is the
     correctness half: every service response's plan set must be
@@ -264,6 +196,7 @@ def measure_service_throughput(
         for index, response in enumerate(responses)
     )
     from repro.service.metrics import percentile
+    from repro.service.shard import resolve_worker_count
 
     return ServiceThroughputMeasurement(
         request_count=len(requests),
@@ -437,6 +370,7 @@ def measure_warm_restart(
     import tempfile
 
     from repro.service import OptimizerService
+    from repro.service.shard import resolve_worker_count
 
     mix = mix if mix is not None else default_service_mix()
     requests = [config for _ in range(repeats) for config in mix]
@@ -674,6 +608,7 @@ def measure_crash_recovery(
     from repro.service import FaultInjector, OptimizerClient, OptimizerServer, OptimizerService
     from repro.service.metrics import percentile
     from repro.service.protocol import plan_digest
+    from repro.service.shard import resolve_worker_count
 
     mix = mix if mix is not None else default_service_mix()
     requests = [config for _ in range(repeats) for config in mix]
@@ -814,7 +749,6 @@ __all__ = [
     "ChaseMeasurement",
     "CrashRecoveryMeasurement",
     "ExecutionMeasurement",
-    "ParallelBackchaseMeasurement",
     "ServiceThroughputMeasurement",
     "StageBreakdownMeasurement",
     "StrategyMeasurement",
@@ -823,7 +757,6 @@ __all__ = [
     "measure_chase",
     "measure_crash_recovery",
     "measure_execution",
-    "measure_parallel_scaling",
     "measure_service_throughput",
     "measure_stage_breakdown",
     "measure_strategy",

@@ -52,7 +52,7 @@ def _absent():
     return None
 
 
-class _InternTable:  # repro-lint: ignore[pickle-safety] never pickled — a node pickles as its class and fields
+class _InternTable:
     """The live nodes of one path class, each under the key of its fields.
 
     The table holds its nodes weakly.  Each entry is a weak reference whose

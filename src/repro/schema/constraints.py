@@ -100,18 +100,6 @@ class Dependency:
             object.__setattr__(self, "_hash", cached)
         return cached
 
-    def __getstate__(self):
-        """Pickle state without the memoised values, which the receiver rebuilds.
-
-        Drops the cached hash (``hash()`` of a ``str`` is salted per
-        process) and the chase's search plan (``_search_plan``: the search
-        schedules and trigger heads, see ``repro.chase.chase._search_plan``).
-        """
-        state = dict(self.__dict__)
-        state.pop("_hash", None)
-        state.pop("_search_plan", None)
-        return state
-
     # ------------------------------------------------------------------ #
     # classification
     # ------------------------------------------------------------------ #

@@ -16,8 +16,8 @@ Modules
     Warm per-catalog sessions (chase caches + containment memos), bounded
     admission, request runner threads and one worker pool per shard.
 ``scheduler``
-    The executor adapter that runs a request's backchase chunks and
-    OQF/OCS stage tasks on its shard's worker pool.
+    The adapter that runs a request's backchase chunks and OQF/OCS stage
+    tasks on its shard's worker pool.
 ``metrics``
     Per-request/shard/service accounting and latency percentiles.
 ``protocol``

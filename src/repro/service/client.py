@@ -51,7 +51,7 @@ from repro.service.protocol import ping_request, stats_request
 _TRANSIENT = (ProtocolError, ConnectionError, OSError)
 
 
-class _Link:  # repro-lint: ignore[pickle-safety] never pickled — a link wraps a live socket and dies with its process
+class _Link:
     """One TCP connection: socket, reader thread, pending-future demux.
 
     A link is immutable once dead — the client replaces it wholesale on
@@ -148,7 +148,7 @@ class _Link:  # repro-lint: ignore[pickle-safety] never pickled — a link wraps
             self.thread.join(timeout=5.0)
 
 
-class OptimizerClient:  # repro-lint: ignore[pickle-safety] never pickled — clients hold a live link; each process builds its own
+class OptimizerClient:
     """JSONL-over-TCP client with id-based demux, reconnect and retries.
 
     Parameters

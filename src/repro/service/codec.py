@@ -71,7 +71,7 @@ class Session:
     """One session's warm state, as encoded and as decoded.
 
     ``caches`` holds one ``(dependencies, entries)`` pair per chase cache:
-    its exact dependency list and its ``{query signature: fixpoint}``
+    its exact dependency list and its ``(query signature, fixpoint)``
     entries in LRU order.  ``verdicts`` holds ``((source signature, target
     signature), verdict)`` pairs.  Decoding returns tuples throughout.
     """
@@ -177,7 +177,7 @@ def encode_session(session):
     caches = [
         [
             encoder.refs(dependencies),
-            [[encoder.signature(key), encoder.ref(fixpoint)] for key, fixpoint in entries.items()],
+            [[encoder.signature(key), encoder.ref(fixpoint)] for key, fixpoint in entries],
         ]
         for dependencies, entries in session.caches
     ]
@@ -278,9 +278,10 @@ def decode_session(document):
     caches = []
     for cache in _list(document["caches"]):
         dependencies, entries = _list(cache, 2)
-        table = {}
-        for key, fixpoint in (_list(entry, 2) for entry in _list(entries)):
-            table[decoder.ref(key, "signature")] = decoder.ref(fixpoint, "query")
+        table = tuple(
+            (decoder.ref(key, "signature"), decoder.ref(fixpoint, "query"))
+            for key, fixpoint in (_list(entry, 2) for entry in _list(entries))
+        )
         caches.append((decoder.refs(dependencies, "dependency"), table))
     for record in _list(document["restrictions"]):
         query, keep, extra, result = _list(record, 4)

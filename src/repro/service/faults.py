@@ -94,7 +94,7 @@ class FaultRule:
         return True
 
 
-class FaultInjector:  # repro-lint: ignore[pickle-safety] never pickled — configured per process from the CLI fault spec
+class FaultInjector:
     """Seedable, thread-safe registry of per-site fault rules.
 
     An injector with no rules is inert (every ``maybe_fail`` is a cheap

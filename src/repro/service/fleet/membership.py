@@ -59,7 +59,7 @@ class Backend:
         return f"{self.host}:{self.port}"
 
 
-class HashRing:  # repro-lint: ignore[pickle-safety] never pickled — each router builds its ring from its --backend flags
+class HashRing:
     """Consistent-hash ring over backend names.
 
     Parameters

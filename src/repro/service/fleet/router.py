@@ -87,7 +87,7 @@ class RouterStats:
         }
 
 
-class FleetRouter:  # repro-lint: ignore[pickle-safety] never pickled — owns sockets, threads and live clients
+class FleetRouter:
     """Consistent-hash front end for a fleet of backend ``serve`` processes.
 
     Parameters

@@ -217,7 +217,7 @@ class ServiceStats:
         }
 
 
-class MetricsCollector:  # repro-lint: ignore[pickle-safety] never pickled — snapshots persist caches, not gauges
+class MetricsCollector:
     """Thread-safe accumulator for completed-request metrics.
 
     Latencies are kept in a bounded ring buffer (``max_samples``, default
@@ -290,7 +290,7 @@ STAGE_LATENCY_BUCKETS = (
 )
 
 
-class StageHistograms:  # repro-lint: ignore[pickle-safety] never pickled — live Prometheus state, not snapshot payload
+class StageHistograms:
     """Thread-safe per-stage latency histograms (Prometheus semantics).
 
     One cumulative-bucket histogram per pipeline stage

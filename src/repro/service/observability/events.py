@@ -24,7 +24,7 @@ import threading
 import time
 
 
-class EventLog:  # repro-lint: ignore[pickle-safety] never pickled — wraps a live output stream
+class EventLog:
     """Thread-safe JSONL event writer (to an open stream or a file path).
 
     Completion events arrive from shard runner threads concurrently with

@@ -113,7 +113,7 @@ class _Handler(BaseHTTPRequestHandler):
             pass  # scraper went away mid-response
 
 
-class ObservabilityServer:  # repro-lint: ignore[pickle-safety] never pickled — owns a listening socket and a thread
+class ObservabilityServer:
     """The HTTP sidecar wrapping one service (and optionally its tracer).
 
     Parameters

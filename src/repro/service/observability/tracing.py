@@ -21,7 +21,7 @@ from repro.trace import RequestTrace
 from repro.service.metrics import StageHistograms
 
 
-class Tracer:  # repro-lint: ignore[pickle-safety] never pickled — owns a live trace log stream
+class Tracer:
     """Mints, collects and exports per-request span trees.
 
     Parameters

@@ -1,4 +1,4 @@
-"""The executor adapter that runs one request's parallel work on a shard pool.
+"""The adapter that runs one request's parallel work on a shard pool.
 
 A shard's requests run concurrently on its runner threads, and every shard
 owns one worker pool (a plain :class:`~concurrent.futures.ThreadPoolExecutor`).
@@ -7,18 +7,33 @@ subquery-lattice subsets, an OQF fragment, an OCS stage query — is submitted
 straight to that pool, and the request's runner thread waits for its own
 futures.
 
-:class:`ScheduledPool` adapts the pool to the executor protocol of
-:mod:`repro.chase.backchase` (``start`` / ``run_wave`` / ``map`` /
-``close``), so :class:`~repro.chase.backchase.ParallelBackchase` and the
-optimizer's OQF/OCS fan-out run on the shared pool without any engine
-changes — which is also why the service's plan sets are signature-identical
-to single-shot runs.
+:class:`ScheduledPool` is what :class:`~repro.chase.backchase.
+ParallelBackchase` runs its waves on (``start`` / ``run_wave``) and what
+the optimizer fans its OQF/OCS stage tasks out on (``map``).  Every chunk
+runs the inline engine's chunk evaluation against the session's shared
+cache and memo, which is why the service's plan sets are
+signature-identical to single-shot runs.
 """
 
 from __future__ import annotations
 
-from repro.chase.backchase import _evaluate_chunk, size_ordered_chunks
+from repro.chase.backchase import _evaluate_chunk
 from repro.trace import activate, active_trace
+
+
+def size_ordered_chunks(keys, buckets):
+    """Split lattice keys into at most ``buckets`` size-balanced chunks.
+
+    A subset's chase cost grows with the size of the restricted subquery, so
+    the keys are sorted by estimated chase size (their cardinality) before
+    being dealt round-robin — the longest-processing-time-first heuristic
+    that keeps skewed waves from serialising behind one overloaded chunk.
+    Ties break on the sorted variable names so the split is deterministic.
+    Verdict merging is order-insensitive, so the chunking never changes the
+    produced plan set.
+    """
+    ordered = sorted(keys, key=lambda key: (-len(key), tuple(sorted(key))))
+    return [ordered[start::buckets] for start in range(buckets) if ordered[start::buckets]]
 
 
 def _traced_call(trace, fn, *args, **kwargs):
@@ -32,18 +47,16 @@ def _traced_call(trace, fn, *args, **kwargs):
 
 
 class ScheduledPool:
-    """Executor-protocol adapter running one request's work on a shard pool.
+    """Runs one request's backchase waves and stage tasks on a shard pool.
 
     One instance is created per service request; it holds only the shard's
-    pool and worker count, so ``close`` is a no-op (the pool outlives every
-    request — that is the whole point of the service).  ``detached`` is
-    ``False``: every chunk shares the session's warm :class:`ChaseCache`
-    directly, so there is nothing to merge back after a wave.
+    pool and worker count (the pool outlives every request — that is the
+    whole point of the service).  Every chunk shares the session's warm
+    :class:`~repro.chase.implication.ChaseCache` and containment memo
+    directly.
     """
 
     kind = "scheduled"
-    detached = False
-    chunk_policy = "size-ordered"
 
     def __init__(self, pool, workers):
         self.pool = pool
@@ -57,8 +70,7 @@ class ScheduledPool:
         self._cache = cache
         self._memo = memo
 
-    def run_wave(self, keys, deadline, seed_entries=None):
-        # seed_entries is ignored: chunks share the session cache directly.
+    def run_wave(self, keys, deadline):
         trace = active_trace()
         futures = [
             self.pool.submit(
@@ -81,8 +93,5 @@ class ScheduledPool:
         futures = [self.pool.submit(_traced_call, trace, fn, payload) for payload in payloads]
         return [future.result() for future in futures]
 
-    def close(self):
-        pass
 
-
-__all__ = ["ScheduledPool"]
+__all__ = ["ScheduledPool", "size_ordered_chunks"]

@@ -49,7 +49,7 @@ from repro.service.protocol import (
 from repro.service.service import OptimizerService
 
 
-class _Connection:  # repro-lint: ignore[pickle-safety] never pickled — wraps a live accepted socket
+class _Connection:
     """Book-keeping for one client connection."""
 
     def __init__(self, sock, address, faults=None):
@@ -104,7 +104,7 @@ class _Connection:  # repro-lint: ignore[pickle-safety] never pickled — wraps 
                 pass
 
 
-class OptimizerServer:  # repro-lint: ignore[pickle-safety] never pickled — owns a listening socket and live threads
+class OptimizerServer:
     """Socket server wrapping an :class:`OptimizerService`.
 
     Parameters

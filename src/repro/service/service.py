@@ -128,7 +128,7 @@ class ServiceResponse:
 
 
 @dataclass
-class _PendingRequest:  # repro-lint: ignore[pickle-safety] never pickled — lives only inside one submit() call's plumbing
+class _PendingRequest:
     """Book-keeping pairing an admitted request with its future."""
 
     request: ServiceRequest
@@ -141,7 +141,7 @@ class _PendingRequest:  # repro-lint: ignore[pickle-safety] never pickled — li
         return self._claim.acquire(blocking=False)
 
 
-class OptimizerService:  # repro-lint: ignore[pickle-safety] never pickled — export_sessions() encodes session state instead
+class OptimizerService:
     """Long-lived, sharded, cache-warm C&B optimizer service.
 
     Parameters
@@ -151,8 +151,7 @@ class OptimizerService:  # repro-lint: ignore[pickle-safety] never pickled — e
         sessions each).  Catalogs are spread over shards deterministically.
     workers:
         Threads of every shard's worker pool (``None`` = CPU count).  The
-        pool is a thread pool, never a process pool: detached workers
-        could not share the warm caches that justify the service.
+        pool's threads share the session's warm caches and memo.
     max_inflight:
         Concurrently executing requests (runner threads) per shard.
     max_queue_depth:

@@ -36,6 +36,7 @@ improbable) and restarts them.  Both paths are counted
 
 from __future__ import annotations
 
+import os
 import queue
 import threading
 import time
@@ -44,7 +45,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from repro.errors import RunnerCrash, ServiceOverloaded
-from repro.chase.backchase import resolve_worker_count
 from repro.chase.implication import (
     ChaseCacheRegistry,
     constraint_signature,
@@ -60,6 +60,11 @@ from repro.trace import activate
 
 #: Queue sentinel that makes a runner thread exit its loop.
 _SHUTDOWN = object()
+
+
+def resolve_worker_count(workers):
+    """Resolve the ``workers`` knob: ``None`` means the machine's CPU count."""
+    return max(1, workers if workers is not None else (os.cpu_count() or 1))
 
 
 def shard_index(constraints, shard_count):
@@ -137,7 +142,7 @@ class _RunnerTask:
         self.enqueued_at = time.perf_counter()
 
 
-class Shard:  # repro-lint: ignore[pickle-safety] never pickled — the session codec exports session state, not shard objects
+class Shard:
     """One shard: supervised runner threads + worker pool + warm sessions.
 
     Locking invariant (checked mechanically by ``repro-lint``'s

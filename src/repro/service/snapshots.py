@@ -158,7 +158,7 @@ def read_snapshot(path, faults=None):
         ) from error
 
 
-class SnapshotManager:  # repro-lint: ignore[pickle-safety] never pickled — it *writes* snapshots of session state, not of itself
+class SnapshotManager:
     """Periodic + signal-triggered snapshotting for a running service.
 
     Wraps :meth:`OptimizerService.save_caches` in a background loop so a

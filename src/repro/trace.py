@@ -22,13 +22,12 @@ Design:
   deliberate — context vars do not propagate into pool worker threads, so
   :class:`~repro.service.scheduler.ScheduledPool` re-activates the trace
   explicitly on the shard pool worker that runs each chunk or stage task
-  (the trace object rides along with the submitted call; shard pools are
-  thread pools, so nothing here ever crosses a pickle boundary).
+  (the trace object rides along with the submitted call).
 * Accounting is **outermost-only** per thread: when a traced stage calls
   another traced stage (``ChaseCache.chase_result`` → ``chase``,
   containment minimization → ``restrict_to``), only the outermost frame
-  records.  This keeps per-thread stage times non-overlapping, so on a
-  serial executor (or a shard pool with ``workers=1``) the stage durations
+  records.  This keeps per-thread stage times non-overlapping, so inline
+  (or on a shard pool with ``workers=1``) the stage durations
   sum to at most the request latency.
   On a thread pool the stages accumulate *CPU-seconds across workers*,
   which may legitimately exceed wall-clock latency — that is attribution,
@@ -55,7 +54,7 @@ STAGES = (
 )
 
 
-class RequestTrace:  # repro-lint: ignore[pickle-safety] never pickled — rides only thread-pool payloads
+class RequestTrace:
     """One request's span tree: root duration + per-stage aggregates.
 
     Thread-safe: stages are recorded concurrently from pool workers.  The

@@ -34,13 +34,9 @@ class Workload:
     params: dict = field(default_factory=dict)
     populate: object | None = None
 
-    def optimizer(self, timeout=None, workers=1, executor="serial"):
-        """Return a :class:`CBOptimizer` over this workload's catalog.
-
-        ``workers`` / ``executor`` configure the parallel backchase and the
-        OQF/OCS fragment fan-out (see :class:`CBOptimizer`).
-        """
-        return CBOptimizer(self.catalog, timeout=timeout, workers=workers, executor=executor)
+    def optimizer(self, timeout=None):
+        """Return a :class:`CBOptimizer` over this workload's catalog."""
+        return CBOptimizer(self.catalog, timeout=timeout)
 
     def database(self, size=1000, seed=0):
         """Return a populated database (with physical structures materialised).

@@ -1,14 +1,23 @@
 """Negative fixture: justified suppressions silence findings — analyzer silent.
 
 Demonstrates both scoping forms: a class-header suppression covering the
-whole class (pickle-safety) and a line-level suppression on one access
+whole class (future-resolution) and a line-level suppression on one access
 (lock-discipline).  Both carry written justifications.
 """
 
 import threading
 
 
-class MonitoredGauge:  # repro-lint: ignore[pickle-safety] fixture object, never pickled
+class DrainedTable:  # repro-lint: ignore[future-resolution] fixture table; its owner resolves every entry at shutdown
+    def __init__(self):
+        self.pending = {}
+
+    def submit(self, request_id, future):
+        self.pending[request_id] = future
+        return future
+
+
+class MonitoredGauge:
     def __init__(self):
         self._lock = threading.Lock()
         self._count = 0  # guarded-by: _lock

@@ -34,18 +34,14 @@ RULES = sorted(cls.rule for cls in ALL_CHECKERS if cls.scope == "module")
 #: rule id -> (positive fixture, expected finding count)
 POSITIVE = {
     "lock-discipline": ("lock_discipline_pos.py", 2),
-    "pickle-safety": ("pickle_safety_pos.py", 3),
     "deadline-propagation": ("deadline_pos.py", 1),
     "future-resolution": ("futures_pos.py", 3),
-    "process-pool-boundary": ("process_boundary_pos.py", 3),
 }
 
 NEGATIVE = {
     "lock-discipline": "lock_discipline_neg.py",
-    "pickle-safety": "pickle_safety_neg.py",
     "deadline-propagation": "deadline_neg.py",
     "future-resolution": "futures_neg.py",
-    "process-pool-boundary": "process_boundary_neg.py",
 }
 
 
@@ -91,25 +87,6 @@ class TestFixtureCorpus:
         assert analyze_fixture(name, rules=[rule]) != []
 
 
-class TestPR6SnapshotPattern:
-    """The bug class that motivated the analyzer, pinned as a fixture."""
-
-    def test_pickling_a_guarded_container_outside_its_lock_is_flagged(self):
-        findings = analyze_fixture("pickle_safety_pos.py")
-        copies = [f for f in findings if "self.__dict__" in f.message]
-        assert len(copies) == 1
-        assert "outside the guarding lock" in copies[0].message
-        assert "PR 6" in copies[0].message
-
-    def test_missing_lock_strip_and_missing_getstate_are_flagged(self):
-        messages = [f.message for f in analyze_fixture("pickle_safety_pos.py")]
-        assert any("does not strip lock attribute '_lock'" in m for m in messages)
-        assert any("defines no __getstate__" in m for m in messages)
-
-    def test_locked_copy_plus_strip_is_accepted(self):
-        assert analyze_fixture("pickle_safety_neg.py") == []
-
-
 class TestSuppressions:
     def test_justified_suppressions_silence_line_and_scope(self):
         """suppression_ok.py violates two rules; both ignores carry reasons."""
@@ -123,7 +100,7 @@ class TestSuppressions:
         source = (
             "import threading\n"
             "lk = threading.Lock()"
-            "  # repro-lint: ignore[pickle-safety] wrong rule named here\n"
+            "  # repro-lint: ignore[future-resolution] wrong rule named here\n"
         )
         findings = analyze_source(source)
         assert [f.rule for f in findings] == ["lock-discipline"]

@@ -17,6 +17,7 @@ accepts, so a ``restrict_to`` change that breaks the proof fails here.
 """
 
 import itertools
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -26,6 +27,7 @@ from repro.chase.plans import Plan, dedupe_isomorphic_plans
 from repro.cq.containment import has_containment_mapping, outputs_match
 from repro.cq.homomorphism import find_homomorphism
 from repro.lang.ast import Var
+from repro.service.scheduler import ScheduledPool
 from repro.workloads.ec1 import build_ec1
 from repro.workloads.ec2 import build_ec2
 from repro.workloads.ec3 import build_ec3
@@ -104,9 +106,11 @@ def test_walk_matches_brute_force(build, args):
     expected = _signatures(_reference_plans(workload.query, constraints, universal))
     assert expected
     inline = FullBackchase(workload.query, constraints).run(universal)
-    pooled = ParallelBackchase(
-        workload.query, constraints, executor="processes", workers=2
-    ).run(universal)
+    # The service's path: the waves on a shard pool of two worker threads.
+    with ThreadPoolExecutor(max_workers=2) as executor:
+        pooled = ParallelBackchase(
+            workload.query, constraints, ScheduledPool(executor, 2)
+        ).run(universal)
     assert _signatures(inline.plans) == expected
     assert _signatures(pooled.plans) == expected
 

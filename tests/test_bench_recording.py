@@ -1,8 +1,8 @@
 """The benchmark suite rewrites ``BENCH_*.json`` only in a ``-m bench`` session.
 
 Tier-1 collects ``benchmarks/`` too, so a session that merely verifies the
-tree must leave the recorded perf trajectory alone; ``make bench`` and
-``make bench-quick`` (both ``-m bench``) are the only writers.
+tree must leave the recorded perf trajectory alone; ``make bench`` (a
+``-m bench`` session) is the only writer.
 """
 
 import importlib.util

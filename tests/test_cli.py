@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from repro.cli import EXPERIMENTS, _resolve_workers, build_parser, main
+from repro.cli import EXPERIMENTS, build_parser, main
 
 
 class TestParser:
@@ -22,6 +22,13 @@ class TestParser:
         assert args.workload == "ec2"
         assert args.strategy == "oqf"
         assert (args.stars, args.corners, args.views) == (2, 3, 1)
+
+    @pytest.mark.parametrize("flag", ["--workers", "--executor"])
+    def test_optimize_has_no_parallel_knobs(self, flag):
+        """``optimize`` runs inline and takes no parallelism knobs."""
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(["optimize", "ec1", flag, "2"])
+        assert exit_info.value.code == 2
 
     def test_missing_command_is_an_error(self):
         with pytest.raises(SystemExit):
@@ -88,34 +95,6 @@ class TestMain:
             == 0
         )
         assert "plans for EC2" in out.getvalue()
-
-
-class TestWorkersResolution:
-    """Regression: `--executor serial` with an omitted `--workers` used to
-    fall through to CPU-count semantics (workers=None); serial always means
-    exactly one worker."""
-
-    def test_serial_defaults_to_one_worker(self):
-        assert _resolve_workers(None, "serial") == 1
-
-    def test_pooled_executors_default_to_cpu_count(self):
-        assert _resolve_workers(None, "threads") is None
-        assert _resolve_workers(None, "processes") is None
-
-    def test_explicit_workers_win(self):
-        assert _resolve_workers(3, "serial") == 3
-        assert _resolve_workers(5, "processes") == 5
-
-    def test_optimize_with_explicit_serial_reports_one_worker(self):
-        out = io.StringIO()
-        assert (
-            main(
-                ["optimize", "ec1", "--relations", "2", "--executor", "serial"],
-                out=out,
-            )
-            == 0
-        )
-        assert "executor serial x1" in out.getvalue()
 
 
 class TestServiceCommands:

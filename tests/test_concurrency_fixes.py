@@ -10,11 +10,13 @@ it guards (``_StreamEmitter``).
 import io
 import json
 import socket
+import sys
 import threading
 
 from repro.chase.implication import ChaseCache
 from repro.cli import _StreamEmitter
 from repro.cq.memo import ContainmentMemo
+from repro.cq.query import PCQuery
 from repro.errors import SnapshotError
 from repro.service.client import OptimizerClient
 from repro.service.snapshots import SnapshotManager
@@ -76,35 +78,47 @@ class TestSnapshotManagerCounters:
 
 
 class TestChaseCacheAccounting:
-    """stats()/len() snapshot under the lock; merge() snapshots the donor."""
+    """stats()/len() snapshot under the lock; export() copies under it."""
 
     def test_stats_never_observes_torn_hit_miss_totals(self):
         cache = ChaseCache([])
+        per_thread = 32 * ROUNDS
+        queries = [
+            [PCQuery.parse(f"select struct(A: r.A) from R{i}_{j} r") for j in range(per_thread)]
+            for i in range(THREADS)
+        ]
         stop = threading.Event()
         torn = []
 
         def reader():
             while not stop.is_set():
                 stats = cache.stats()
-                if stats["hits"] != stats["misses"]:
+                if stats["entries"] != stats["misses"]:
                     torn.append(stats)
 
-        observer = threading.Thread(target=reader)
-        observer.start()
-
         def worker(i):
-            for j in range(ROUNDS):
-                # hits and misses move in lockstep: any snapshot where they
-                # differ interleaved with a writer mid-update.
-                cache.merge_exported({(i, j): j}, hits=1, misses=1)
+            for query in queries[i]:
+                # Every query is new: its miss stores one entry under the
+                # same lock, so any snapshot where the entry count and the
+                # miss count differ interleaved with a writer mid-update.
+                cache.chase_result(query)
+                cache.chase_result(query)
 
-        _hammer(worker)
-        stop.set()
-        observer.join(timeout=30.0)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often enough to land mid-update
+        try:
+            observer = threading.Thread(target=reader)
+            observer.start()
+            _hammer(worker)
+            stop.set()
+            observer.join(timeout=30.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not observer.is_alive()
         assert torn == []
         stats = cache.stats()
-        assert stats["hits"] == stats["misses"] == THREADS * ROUNDS
-        assert stats["entries"] == len(cache) == THREADS * ROUNDS
+        assert stats["hits"] == stats["misses"] == THREADS * per_thread
+        assert stats["entries"] == len(cache) == THREADS * per_thread
 
     def test_merge_from_a_live_donor(self):
         donor = ChaseCache([])
@@ -112,21 +126,27 @@ class TestChaseCacheAccounting:
         stop = threading.Event()
 
         def writer():
+            # Bounded: merging a whole export costs about what the writer
+            # pays per entry, so an unbounded writer outgrows the reader.
             serial = 0
-            while not stop.is_set():
-                donor.merge_exported({("live", serial): serial})
+            while not stop.is_set() and serial < 20 * THREADS * ROUNDS:
+                donor.merge([(("live", serial), serial)])
                 serial += 1
 
         mutator = threading.Thread(target=writer)
         mutator.start()
         try:
-            for _ in range(ROUNDS):
-                # export_since copies under donor._lock: no tear
-                merged.merge_exported(donor.export_since(0))
+            # Merge for as long as the donor is written to: export copies
+            # under donor._lock, so no round tears.
+            rounds = 0
+            while rounds < ROUNDS or mutator.is_alive():
+                merged.merge(donor.export())
+                rounds += 1
         finally:
             stop.set()
             mutator.join(timeout=30.0)
-        merged.merge_exported(donor.export_since(0))
+        merged.merge(donor.export())
+        assert merged.export() == donor.export()
         assert len(merged) == len(donor)
 
 
@@ -139,16 +159,19 @@ class TestContainmentMemoExport:
         stop = threading.Event()
 
         def writer():
+            # Bounded, like the chase-cache donor above.
             serial = 0
-            while not stop.is_set():
+            while not stop.is_set() and serial < 20 * THREADS * ROUNDS:
                 donor.merge_exported([((f"s{serial}", "t"), serial % 2 == 0)])
                 serial += 1
 
         mutator = threading.Thread(target=writer)
         mutator.start()
         try:
-            for _ in range(ROUNDS):
+            rounds = 0
+            while rounds < ROUNDS or mutator.is_alive():
                 merged.merge_exported(donor.export())
+                rounds += 1
         finally:
             stop.set()
             mutator.join(timeout=30.0)

@@ -147,7 +147,6 @@ class TestGenerationsAndLog:
         assert closure.generation == before  # interning alone merges nothing
         closure.merge(Var("x"), Var("y"))
         assert closure.generation == before + 1
-        assert closure.snapshot() == closure.generation
 
     def test_congruence_cascade_is_logged(self):
         closure = CongruenceClosure()

@@ -86,6 +86,10 @@ def _single_shot_digests(rounds=1):
     return digests
 
 
+def _digest(workload):
+    return constraints_digest(workload.catalog.constraints())
+
+
 def _offline_client(backoff_base=0.05, backoff_max=2.0, backoff_seed=0):
     """An :class:`OptimizerClient` with no socket, for the pure backoff math.
 
@@ -243,6 +247,16 @@ class TestMembership:
             assert preference == ring.preference(key)  # memoised + stable
         assert len({ring.route(key) for key in keys}) == len(names)  # spread
 
+    def test_ring_spreads_the_mix_over_two_backends(self):
+        """Placement is a pure function of the structural digest: on two
+        fixed backend names, the mix's 6 catalogs land on both."""
+        ring = HashRing(["127.0.0.1:7411", "127.0.0.1:7412"])
+        placements = set()
+        for name, params, _strategy in MIX:
+            builder, _ = WORKLOAD_BUILDERS[name]
+            placements.add(ring.route(_digest(builder(**params))))
+        assert placements == {"127.0.0.1:7411", "127.0.0.1:7412"}
+
     def test_membership_change_only_moves_keys_to_the_new_backend(self):
         """The consistent-hashing contract: adding a replica never shuffles
         keys *between* surviving backends — the moved keys all land on the
@@ -272,8 +286,13 @@ class TestFleetDifferential:
     def test_routed_fleet_matches_single_shot(self):
         """Cold + warm rounds of the full mix through router + 2 backends:
         identical plan-set digests to the single-shot reference, every
-        request routed (none shed, none errored), and the per-backend
-        spread is exactly what the ring dictates."""
+        request routed (none shed, none errored), and each backend served
+        exactly the requests the ring routes to it.
+
+        The ring hashes the backends' OS-assigned ports, so which backend
+        serves which catalog, and whether one serves them all, varies from
+        run to run; the spread over two backends is checked on fixed names
+        in :class:`TestMembership`."""
         reference = _single_shot_digests(rounds=2)
         records = _mix_records(rounds=2)
         with OptimizerServer(shards=1, workers=2) as server_a:
@@ -286,21 +305,24 @@ class TestFleetDifferential:
                     with OptimizerClient(port=router.port) as client:
                         responses = client.request_many(records, timeout=JOIN_TIMEOUT)
                     stats = router.stats()
-                    expected_primary = {}
-                    for name, params, _strategy in MIX:
-                        builder, _ = WORKLOAD_BUILDERS[name]
-                        workload = builder(**params)
-                        digest = constraints_digest(workload.catalog.constraints())
-                        expected_primary[digest] = router.ring.route(digest)
+                    routed = dict.fromkeys(backends, 0)
+                    for record in records:
+                        builder, _ = WORKLOAD_BUILDERS[record["workload"]]
+                        workload = builder(**record["params"])
+                        routed[router.ring.route(_digest(workload))] += 1
+                served = {
+                    backends[0]: server_a.service.stats().requests,
+                    backends[1]: server_b.service.stats().requests,
+                }
         assert [response["status"] for response in responses] == ["ok"] * len(records)
         assert [response["id"] for response in responses] == [r["id"] for r in records]
         assert [response["plan_digests"] for response in responses] == reference
         assert stats.requests == stats.routed == len(records)
         assert stats.shed == stats.errors == stats.failovers == 0
         assert stats.backends == stats.backends_healthy == 2
-        # Placement is a pure function of the structural digest: with 6
-        # distinct catalogs the ring spreads sessions over both backends.
-        assert len(set(expected_primary.values())) == 2
+        # Placement is a pure function of the structural digest, and no
+        # request failed over: each backend served its ring share.
+        assert served == routed
 
     def test_router_stats_and_ping_ops_answered_locally(self):
         with OptimizerServer(shards=1, workers=1) as server:

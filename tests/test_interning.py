@@ -114,11 +114,11 @@ class TestRebuiltNodes:
         workload = build_ec1(2, 1)
         constraints = tuple(workload.catalog.constraints())
         query = workload.query
-        caches = [([], {query.signature(): query})]
+        caches = [([], [(query.signature(), query)])]
         session = Session("test", constraints_digest(constraints), constraints, caches, [])
         decoded = decode_session(json.loads(json.dumps(encode_session(session))))
         (_, entries), = decoded.caches
-        (twin,) = entries.values()
+        ((_, twin),) = entries
         assert twin == query
         for (_, path), (_, twin_path) in zip(query.output, twin.output):
             assert twin_path is path

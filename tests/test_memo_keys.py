@@ -4,9 +4,6 @@
   instance.  Every query a warm registry holds after EC1–EC3 runs (chase
   fixpoints and the subqueries in their restriction tables) carries keys
   equal to those of a freshly built equal query.
-* Pickling drops the memoised keys, the OQF decompositions, a query's
-  cached hash and containment schedule, and a dependency's cached hash and
-  search plan; the receiver rebuilds equal ones.
 * A dependency's search schedules and trigger heads, and a containment
   source's schedule, equal a fresh build.
 * Restrictions read a saturated closure's layout, built once per closure
@@ -21,7 +18,6 @@
 * Racing threads on a fresh query all read the same key.
 """
 
-import pickle
 import sys
 import threading
 
@@ -29,16 +25,10 @@ import pytest
 
 import repro.chase.optimizer as optimizer_module
 from repro.chase.backchase import FullBackchase
-from repro.chase.chase import _dependency_triggers, _search_plan, chase
+from repro.chase.chase import _dependency_triggers, chase
 from repro.chase.implication import ChaseCacheRegistry
 from repro.chase.optimizer import CBOptimizer
-from repro.chase.stratify import (
-    _UnionFind,
-    constraints_interact,
-    decompose_query,
-    stratify_constraints,
-)
-from repro.cq.containment import has_containment_mapping, keep_search_schedule
+from repro.chase.stratify import _UnionFind, constraints_interact, stratify_constraints
 from repro.cq.homomorphism import schedule_conditions
 from repro.cq.memo import ContainmentMemo
 from repro.cq.query import (
@@ -71,7 +61,7 @@ def _rebuild(workload):
 def _held_queries(registry):
     """Every fixpoint in ``registry`` and every query in a restriction table."""
     exported = registry.export_entries()
-    pending = [fixpoint for _, entries in exported for fixpoint in entries.values()]
+    pending = [fixpoint for _, entries in exported for _, fixpoint in entries]
     seen = {}
     while pending:
         query = pending.pop()
@@ -99,39 +89,6 @@ def test_memoised_keys_of_every_held_query_equal_a_fresh_build():
         fresh = _fresh(query)
         assert query.signature() == fresh.signature()
         assert query.variable_set == fresh.variable_set
-
-
-def test_pickling_drops_the_memoised_keys():
-    workload = build_ec2(1, 3, 1)
-    query = workload.query
-    signature, variables, digest = query.signature(), query.variable_set, hash(query)
-    decompose_query(query, workload.catalog.skeletons())
-    keep_search_schedule(query)
-    assert has_containment_mapping(query, query)
-    memoised = {"_hash", "_signature", "_variable_set", "_search_schedule", "_decompositions"}
-    assert memoised <= set(query.__dict__)
-    state = query.__getstate__()
-    assert not memoised & set(state)
-    clone = pickle.loads(pickle.dumps(query))
-    assert not memoised & set(clone.__dict__)
-    assert clone == query
-    assert clone.signature() == signature
-    assert clone.variable_set == variables
-    assert hash(clone) == digest
-
-    # A dependency's hash and search plan are kept on the instance; hash()
-    # of a str is salted per process, so the cached values never travel.
-    dependencies = workload.catalog.constraints()
-    chase(workload.query, dependencies)
-    for dependency in dependencies:
-        digest = hash(dependency)
-        assert {"_hash", "_search_plan"} <= set(dependency.__dict__)
-        assert not {"_hash", "_search_plan"} & set(dependency.__getstate__())
-        copy = pickle.loads(pickle.dumps(dependency))
-        assert not {"_hash", "_search_plan"} & set(copy.__dict__)
-        assert copy == dependency
-        assert hash(copy) == digest
-        assert _search_plan(copy) == _search_plan(dependency)
 
 
 @pytest.mark.parametrize("workload", _workloads(), ids=lambda workload: workload.name)

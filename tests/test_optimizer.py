@@ -8,6 +8,7 @@ from repro.chase.optimizer import CBOptimizer
 from repro.cq.memo import ContainmentMemo
 from repro.cq.query import PCQuery
 from repro.schema.catalog import Catalog
+from repro.service.scheduler import ScheduledPool
 from repro.workloads.ec1 import build_ec1, expected_plan_count
 from repro.workloads.ec2 import build_ec2
 from repro.workloads.ec3 import build_ec3
@@ -178,11 +179,12 @@ class TestOptimizerAPI:
             CBOptimizer(star_catalog, containment_memo=memo)
         with pytest.raises(ValueError):
             FullBackchase(star_query, [], containment_memo=memo)
+        pool = ScheduledPool(None, 1)
         with pytest.raises(ValueError):
-            ParallelBackchase(star_query, [], containment_memo=memo)
+            ParallelBackchase(star_query, [], pool, containment_memo=memo)
         CBOptimizer(star_catalog, cache_registry=ChaseCacheRegistry(), containment_memo=memo)
         FullBackchase(star_query, [], chase_cache=ChaseCache([]), containment_memo=memo)
-        ParallelBackchase(star_query, [], chase_cache=ChaseCache([]), containment_memo=memo)
+        ParallelBackchase(star_query, [], pool, chase_cache=ChaseCache([]), containment_memo=memo)
 
     def test_explicit_constraints_override_catalog(self, star_catalog, star_query):
         optimizer = CBOptimizer(star_catalog, constraints=[])

@@ -1,31 +1,27 @@
-"""The wave-parallel backchase: executor plumbing and serial equivalence.
+"""The shard-pool backchase: plan sets and counters equal the inline engine's.
 
 Both engines run one pruning walk, so the load-bearing property is that
 its pruning does not depend on where a wave is evaluated:
-:class:`ParallelBackchase` — under every executor kind — produces plan sets
-*signature-identical* to the inline :class:`FullBackchase` on the paper's
-workloads (the fig5/EC2 instances and EC1), with identical exploration
-counters.  The independent reference for the plan sets themselves is the
-brute-force backchase of ``tests/test_backchase_reference.py``.  The
-remaining tests cover the executor abstraction and the mergeable
-:class:`ChaseCache`.
+:class:`ParallelBackchase` over a :class:`ScheduledPool` at 1, 2 and 4 pool
+workers produces plan sets *signature-identical* to the inline
+:class:`FullBackchase` on the paper's workloads (the fig5/EC2 instances and
+EC1), with identical exploration counters.  The independent reference for
+the plan sets themselves is the brute-force backchase of
+``tests/test_backchase_reference.py``.  The remaining tests cover the
+pool's chunking and stage fan-out and the mergeable :class:`ChaseCache`.
 """
+
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 
 import pytest
 
-from repro.chase.backchase import (
-    EXECUTORS,
-    FullBackchase,
-    ParallelBackchase,
-    ProcessExecutor,
-    SerialExecutor,
-    ThreadExecutor,
-    make_executor,
-    size_ordered_chunks,
-)
+from repro.chase.backchase import FullBackchase, ParallelBackchase
 from repro.chase.chase import chase
 from repro.chase.implication import ChaseCache
+from repro.chase.optimizer import CBOptimizer
 from repro.cq.query import PCQuery
+from repro.service.scheduler import ScheduledPool, size_ordered_chunks
 from repro.workloads.ec1 import build_ec1
 from repro.workloads.ec2 import build_ec2
 
@@ -40,58 +36,68 @@ def _chased(workload):
     return constraints, universal
 
 
+@contextmanager
+def _shard_pool(workers):
+    """A :class:`ScheduledPool` over a pool of ``workers`` threads, as a shard builds it."""
+    executor = ThreadPoolExecutor(max_workers=workers)
+    try:
+        yield ScheduledPool(executor, workers)
+    finally:
+        executor.shutdown(wait=True)
+
+
 class TestSerialEquivalence:
     """Plan sets and counters match the inline engine exactly."""
 
-    @pytest.mark.parametrize(
-        "executor,workers",
-        [("serial", 1), ("threads", 2), ("threads", 4), ("processes", 2)],
-    )
+    @pytest.mark.parametrize("workers", [1, 2, 4], ids=lambda workers: f"threads-{workers}")
     @pytest.mark.parametrize(
         "build,args",
         [(build_ec2, (1, 3, 2)), (build_ec2, (2, 2, 1)), (build_ec1, (2, 1))],
     )
-    def test_plan_sets_match(self, build, args, executor, workers):
+    def test_plan_sets_match(self, build, args, workers):
         workload = build(*args)
         constraints, universal = _chased(workload)
         serial = FullBackchase(workload.query, constraints).run(universal)
-        parallel = ParallelBackchase(
-            workload.query, constraints, executor=executor, workers=workers
-        ).run(universal)
+        with _shard_pool(workers) as pool:
+            parallel = ParallelBackchase(workload.query, constraints, pool).run(universal)
         assert _signatures(parallel) == _signatures(serial)
         assert parallel.plan_count == serial.plan_count
         assert parallel.subqueries_explored == serial.subqueries_explored
         assert parallel.equivalence_checks == serial.equivalence_checks
+        assert parallel.closure_queries == serial.closure_queries
         assert not parallel.timed_out
 
     def test_result_records_executor_and_workers(self):
         workload = build_ec2(1, 3, 1)
         constraints, universal = _chased(workload)
-        result = ParallelBackchase(
-            workload.query, constraints, executor="threads", workers=3
-        ).run(universal)
-        assert result.executor == "threads"
+        with _shard_pool(3) as pool:
+            result = ParallelBackchase(workload.query, constraints, pool).run(universal)
+        assert result.executor == "scheduled"
         assert result.workers == 3
         assert result.waves >= 1
 
     def test_optimizer_fb_matches_across_executors(self):
         workload = build_ec2(1, 3, 2)
         baseline = workload.optimizer().optimize(workload.query, strategy="fb")
-        for executor in ("threads", "processes"):
-            result = workload.optimizer(workers=2, executor=executor).optimize(
+        assert (baseline.executor, baseline.workers) == ("serial", 1)
+        with _shard_pool(2) as pool:
+            result = CBOptimizer(workload.catalog, pool=pool).optimize(
                 workload.query, strategy="fb"
             )
-            assert _signatures(result) == _signatures(baseline)
-            assert result.executor == executor
+        assert _signatures(result) == _signatures(baseline)
+        assert result.equivalence_checks == baseline.equivalence_checks
+        assert (result.executor, result.workers) == ("scheduled", 2)
 
     @pytest.mark.parametrize("strategy", ["oqf", "ocs"])
     def test_optimizer_stage_fanout_matches(self, strategy):
         workload = build_ec2(2, 2, 1)
         baseline = workload.optimizer().optimize(workload.query, strategy=strategy)
-        pooled = workload.optimizer(workers=2, executor="processes").optimize(
-            workload.query, strategy=strategy
-        )
+        with _shard_pool(2) as pool:
+            pooled = CBOptimizer(workload.catalog, pool=pool).optimize(
+                workload.query, strategy=strategy
+            )
         assert _signatures(pooled) == _signatures(baseline)
+        assert pooled.equivalence_checks == baseline.equivalence_checks
 
 
 class TestSizeOrderedChunking:
@@ -118,16 +124,6 @@ class TestSizeOrderedChunking:
         assert len(size_ordered_chunks(keys, 8)) == 2
         assert size_ordered_chunks([], 4) == []
 
-    def test_chunk_policy_recorded_on_result(self):
-        workload = build_ec2(1, 3, 1)
-        constraints, universal = _chased(workload)
-        threaded = ParallelBackchase(
-            workload.query, constraints, executor="threads", workers=2
-        ).run(universal)
-        assert threaded.chunk_policy == "size-ordered"
-        inline = ParallelBackchase(workload.query, constraints).run(universal)
-        assert inline.chunk_policy == "inline"
-
 
 class TestSharedChaseCache:
     def test_warm_cache_reuse_preserves_plan_sets(self):
@@ -140,50 +136,29 @@ class TestSharedChaseCache:
         warm = FullBackchase(workload.query, constraints, chase_cache=shared).run(universal)
         assert _signatures(warm) == _signatures(cold)
         assert warm.cache_misses == 0
-        wave = ParallelBackchase(
-            workload.query, constraints, executor="threads", workers=2, chase_cache=shared
-        ).run(universal)
+        with _shard_pool(2) as pool:
+            wave = ParallelBackchase(
+                workload.query, constraints, pool, chase_cache=shared
+            ).run(universal)
         assert _signatures(wave) == _signatures(cold)
         assert wave.cache_misses == 0
 
     def test_external_pool_is_not_closed(self):
+        """The shard's thread pool outlives a run and serves the next one."""
         workload = build_ec2(1, 3, 1)
         constraints, universal = _chased(workload)
-        pool = make_executor("threads", workers=2)
-        try:
-            first = ParallelBackchase(workload.query, constraints, pool=pool).run(universal)
-            # the pool survives the run and can serve another engine
-            second = ParallelBackchase(workload.query, constraints, pool=pool).run(universal)
-        finally:
-            pool.close()
+        with _shard_pool(2) as pool:
+            first = ParallelBackchase(workload.query, constraints, pool).run(universal)
+            second = ParallelBackchase(workload.query, constraints, pool).run(universal)
+            assert pool.pool.submit(len, "ab").result() == 2
         assert _signatures(first) == _signatures(second)
-        assert first.executor == "threads"
+        assert first.executor == "scheduled"
 
 
 class TestExecutors:
-    def test_make_executor_kinds(self):
-        assert isinstance(make_executor("serial"), SerialExecutor)
-        assert isinstance(make_executor("threads", workers=2), ThreadExecutor)
-        assert isinstance(make_executor("processes", workers=2), ProcessExecutor)
-
-    def test_unknown_executor_rejected(self):
-        with pytest.raises(ValueError):
-            make_executor("gpu")
-        with pytest.raises(ValueError):
-            ParallelBackchase(None, [], executor="gpu")
-        with pytest.raises(ValueError):
-            build_ec2(1, 3, 1).optimizer(executor="gpu")
-
-    def test_serial_executor_is_single_worker(self):
-        assert make_executor("serial", workers=8).workers == 1
-        assert "serial" in EXECUTORS
-
     def test_pool_map_preserves_order(self):
-        pool = make_executor("threads", workers=2)
-        try:
+        with _shard_pool(2) as pool:
             assert pool.map(len, ["a", "bb", "ccc"]) == [1, 2, 3]
-        finally:
-            pool.close()
 
 
 class TestChaseCacheMerging:
@@ -197,27 +172,25 @@ class TestChaseCacheMerging:
                 cache.chase(subquery)
         return cache
 
-    def test_export_since_and_merge(self):
+    def test_export_and_merge(self):
         workload = build_ec2(1, 3, 1)
         cache = self._cache_with_entries(workload)
         assert len(cache) > 0
-        marker = cache.snapshot()
-        assert cache.export_since(marker) == {}
-        assert len(cache.export_since(0)) == len(cache)
+        exported = cache.export()
+        assert len(exported) == len(cache)
 
         fresh = ChaseCache(workload.catalog.constraints())
-        fresh.merge_exported(
-            cache.export_since(0), misses=cache.misses, counters=cache.counters
-        )
-        assert len(fresh) == len(cache)
-        assert fresh.misses == cache.misses
-        assert fresh.counters.closure_queries == cache.counters.closure_queries
+        fresh.merge(exported)
+        assert fresh.export() == exported
+        # Accounting describes this cache's own traffic, not the donor's.
+        assert (fresh.hits, fresh.misses) == (0, 0)
+        assert fresh.counters.closure_queries == 0
 
     def test_merged_entries_hit(self):
         workload = build_ec2(1, 3, 1)
         cache = self._cache_with_entries(workload)
         fresh = ChaseCache(workload.catalog.constraints())
-        fresh.merge_exported(cache.export_since(0))
+        fresh.merge(cache.export())
         universal = chase(workload.query, workload.catalog.constraints()).query
         first_var = sorted(universal.variable_set)[0]
         subquery = universal.restrict_to(universal.variable_set - {first_var})
@@ -231,7 +204,7 @@ class TestChaseCacheMerging:
         left = ChaseCache([])
         chased = left.chase(query)
         right = ChaseCache([])
-        right.merge_exported({query.signature(): None})
-        right.merge_exported({query.signature(): chased})
+        right.merge([(query.signature(), None)])
+        right.merge([(query.signature(), chased)])
         # setdefault semantics: the first stored value wins.
-        assert right.export_since(0)[query.signature()] is None
+        assert right.export() == [(query.signature(), None)]

@@ -2,8 +2,8 @@
 
 Satellite coverage for the serving PR: once caches outlive a single optimize
 call they need (a) a bound — the LRU ``max_entries`` knob with eviction
-counters — and (b) safe concurrent sharing: interleaved ``merge_exported`` /
-``export_since`` / ``chase`` calls from multiple service requests must never
+counters — and (b) safe concurrent sharing: interleaved ``merge`` /
+``export`` / ``chase`` calls from multiple service requests must never
 lose entries and must never store a truncated (timed-out) fixpoint.
 """
 
@@ -118,8 +118,8 @@ class TestConcurrentSharing:
 
     def test_merge_and_export_race(self):
         _, constraints, shared = _workload_cache()
-        # Pre-compute disjoint entry batches (signature -> fixpoint) from
-        # worker-local caches, as the wave engine's workers would.
+        # Pre-compute disjoint entry batches of (signature, fixpoint) pairs
+        # from separate caches, as decoded session files would arrive.
         workload2 = build_ec2(1, 4, 1)
         donor = ChaseCache(constraints)
         universal = donor.chase(workload2.query)
@@ -130,11 +130,11 @@ class TestConcurrentSharing:
             if subquery is not None:
                 local = ChaseCache(constraints)
                 local.chase(subquery)
-                batches.append(local.export_since(0))
+                batches.append(local.export())
         assert len(batches) >= 3
         expected_keys = set()
         for batch in batches:
-            expected_keys.update(batch)
+            expected_keys.update(key for key, _ in batch)
 
         errors = []
         exported = []
@@ -142,16 +142,14 @@ class TestConcurrentSharing:
         def merger(batch):
             try:
                 for _ in range(50):
-                    shared.merge_exported(batch, hits=1, misses=1)
+                    shared.merge(batch)
             except Exception as exc:  # noqa: BLE001
                 errors.append(exc)
 
         def exporter():
             try:
                 for _ in range(100):
-                    marker = shared.snapshot()
-                    exported.append(shared.export_since(marker))
-                    shared.export_since(0)
+                    exported.append(shared.export())
             except Exception as exc:  # noqa: BLE001
                 errors.append(exc)
 
@@ -165,9 +163,9 @@ class TestConcurrentSharing:
         assert not errors
         # No entry was lost and every stored fixpoint is the full one.
         assert expected_keys <= set(shared._cache)
-        full_export = shared.export_since(0)
+        full_export = dict(shared.export())
         for batch in batches:
-            for key, value in batch.items():
+            for key, value in batch:
                 assert full_export[key].signature() == value.signature()
 
     def test_concurrent_chases_on_a_shared_cache(self):
@@ -204,7 +202,7 @@ class TestConcurrentSharing:
             if subquery is not None:
                 donor.chase(subquery)
         bounded = ChaseCache(constraints, max_entries=2)
-        bounded.merge_exported(donor.export_since(0))
+        bounded.merge(donor.export())
         assert len(bounded) <= 2
         assert bounded.evictions >= len(donor) - 2
 

@@ -125,8 +125,8 @@ class TestSessionCodec:
                 caches, decoded.caches
             ):
                 assert list(twin_dependencies) == list(dependencies)
-                assert list(twin_entries.items()) == list(entries.items())
-                for fixpoint, twin in zip(entries.values(), twin_entries.values()):
+                assert list(twin_entries) == list(entries)
+                for (_, fixpoint), (_, twin) in zip(entries, twin_entries):
                     assert str(twin) == str(fixpoint)
                     assert _restrictions(twin) == _restrictions(fixpoint)
                     tables += len(_restrictions(fixpoint))
@@ -176,6 +176,6 @@ class TestServiceSnapshot:
         tables = 0
         for session in read_snapshot(path):
             for _, entries in session.caches:
-                for fixpoint in entries.values():
+                for _, fixpoint in entries:
                     tables += len(_restrictions(fixpoint))
         assert tables > 0  # the backchase's restrictions were persisted

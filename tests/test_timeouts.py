@@ -10,6 +10,7 @@ The documented invariants (see ``OptimizationResult``):
 """
 
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -18,6 +19,7 @@ from repro.chase.chase import chase, deadline_passed
 from repro.chase.implication import ChaseCache
 from repro.errors import ChaseTimeout
 from repro.service import OptimizerClient, OptimizerServer, OptimizerService
+from repro.service.scheduler import ScheduledPool
 from repro.workloads.ec2 import build_ec2
 
 #: Grace allowed on top of the budget: deadline checks sit between dependency
@@ -61,17 +63,19 @@ class TestOptimizerBudgets:
         workload = build_ec2(2, 4, 2)
         constraints = workload.catalog.constraints()
         universal = chase(workload.query, constraints).query
-        for executor in ("serial", "threads", "processes"):
-            engine = ParallelBackchase(
-                workload.query, constraints, timeout=0.05, executor=executor, workers=2
-            )
-            start = time.perf_counter()
-            result = engine.run(universal)
-            elapsed = time.perf_counter() - start
-            assert result.timed_out
-            # Process pool startup is not part of the search but is billed
-            # against wall-clock; allow it the same grace.
-            assert elapsed <= 0.05 + 2 * EPSILON
+        with ThreadPoolExecutor(max_workers=2) as executor:
+            engines = [
+                FullBackchase(workload.query, constraints, timeout=0.05),
+                ParallelBackchase(
+                    workload.query, constraints, ScheduledPool(executor, 2), timeout=0.05
+                ),
+            ]
+            for engine in engines:
+                start = time.perf_counter()
+                result = engine.run(universal)
+                elapsed = time.perf_counter() - start
+                assert result.timed_out
+                assert elapsed <= 0.05 + EPSILON
 
     def test_untimed_runs_do_not_time_out(self):
         workload = build_ec2(1, 3, 1)

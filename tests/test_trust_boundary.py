@@ -1,6 +1,8 @@
 """The trust boundary: no byte read from a socket or a snapshot file runs code.
 
-* No module under ``src/repro`` imports ``pickle``.
+* No module under ``src/repro`` imports ``pickle``, ``multiprocessing`` or
+  a ``ProcessPoolExecutor``: nothing in the program pickles, or ships an
+  object to another process.
 * A pickle whose unpickling would create a marker file, offered through
   each file path — a ``--snapshot`` file, a snapshot-store file that a
   first-contact request meets, in process and over a real socket — ends in
@@ -95,7 +97,14 @@ def _store_file(store, workload):
 # ---------------------------------------------------------------------- #
 # no pickle anywhere in the program
 # ---------------------------------------------------------------------- #
-_PICKLERS = {"pickle", "_pickle", "shelve"}
+#: Modules that pickle, directly or by shipping objects to worker processes.
+_PICKLERS = {"pickle", "_pickle", "shelve", "multiprocessing", "concurrent.futures.process"}
+
+
+def _pickles(name):
+    return name.rsplit(".", 1)[-1] == "ProcessPoolExecutor" or any(
+        name == module or name.startswith(module + ".") for module in _PICKLERS
+    )
 
 
 def test_no_module_imports_pickle():
@@ -106,7 +115,10 @@ def test_no_module_imports_pickle():
             if isinstance(node, ast.Import):
                 names = [alias.name for alias in node.names]
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                names = [node.module or ""]
+                module = node.module or ""
+                names = [module] + [f"{module}.{alias.name}" for alias in node.names]
+            elif isinstance(node, ast.Attribute) and node.attr == "ProcessPoolExecutor":
+                names = [node.attr]
             elif (
                 isinstance(node, ast.Call)
                 and getattr(node.func, "id", getattr(node.func, "attr", None))
@@ -117,11 +129,7 @@ def test_no_module_imports_pickle():
                 names = [str(node.args[0].value)]
             else:
                 continue
-            offenders += [
-                f"{path}:{node.lineno}: {name}"
-                for name in names
-                if name.split(".")[0] in _PICKLERS
-            ]
+            offenders += [f"{path}:{node.lineno}: {name}" for name in names if _pickles(name)]
     assert offenders == []
 
 
